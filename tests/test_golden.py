@@ -1,0 +1,55 @@
+"""Golden CLI outputs: each command's stdout must match its committed file byte for byte.
+
+The files under ``tests/golden/`` were written by the CLI itself and are
+kept as a regression net for refactors that must not change what users
+see.  A deliberate change of output means replacing the file by hand in
+the same change, so the diff shows it.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from hankelshift.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FORMATS = ("text", "json", "csv")
+CLAIMS = ("t1", "t6", "t7", "t8", "t9", "c10", "c11", "c12", "patterns")
+
+COMMANDS = (
+    [f"gen --family catalan --from -2 --to 12 --format {f}" for f in FORMATS]
+    + [f"gen --family narayana-b --from 0 --to 5 --format {f}" for f in FORMATS]
+    + [f"det --family catalan --shift -3 --size 12 --format {f}" for f in FORMATS]
+    + [f"det --family narayana-c --shift -2 --size 5 --format {f}" for f in FORMATS]
+    + [f"table --family conv --k 3 --shift -2 --shift-max 1 --n-max 8 --format {f}"
+       for f in FORMATS]
+    + [f"table --family narayana-b --shift -1 --shift-max 0 --n-max 4 --format {f}"
+       for f in FORMATS]
+    + [f"verify {c}" for c in CLAIMS]
+    + [f"verify {c} --n-max 6 --format {f}" for c in CLAIMS for f in FORMATS]
+    + [
+        "verify c10 --k 3,1,2 --m-min 1 --m-max 2 --n-max 9",
+        "verify t6 --b=5,-3 --m-max 3 --n-max 7 --format csv",
+        "verify patterns --k 7,3 --n-max 30 --format json",
+    ]
+)
+
+
+def golden_path(command: str) -> Path:
+    return GOLDEN / (re.sub(r"[^A-Za-z0-9.-]+", "_", command) + ".out")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_stdout_matches_golden(command, capsys):
+    code = main(shlex.split(command))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == golden_path(command).read_bytes()
+
+
+def test_every_golden_file_has_a_command():
+    expected = {golden_path(c).name for c in COMMANDS}
+    assert {p.name for p in GOLDEN.glob("*.out")} == expected
