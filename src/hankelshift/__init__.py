@@ -22,9 +22,7 @@ from .errors import (
 from .ring import (
     DEFAULT_SERIES_ORDER,
     MINUS_INFINITY,
-    ExactInt,
     Poly,
-    Rational,
     Series,
     binomial,
     choose2_parity,
@@ -70,18 +68,10 @@ from .closed_forms import (
 )
 from .verify import (
     ALL_CLAIMS,
-    CONJECTURE_CLAIMS,
-    THEOREM_CLAIMS,
     Cell,
     GridRange,
     Report,
-    default_range,
     verify_claim,
-    verify_conjecture10,
-    verify_conjecture11,
-    verify_conjecture12,
-    verify_modular_patterns,
-    verify_theorem,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +82,6 @@ __all__ = [
     "BAREISS",
     "COFACTOR",
     "CONDENSATION",
-    "CONJECTURE_CLAIMS",
     "Catalan",
     "Cell",
     "CentralBinomial",
@@ -103,7 +92,6 @@ __all__ = [
     "DimensionTooLarge",
     "EngineDisagreement",
     "ExactComputationError",
-    "ExactInt",
     "GridRange",
     "HankelSpec",
     "IdentityViolation",
@@ -117,11 +105,9 @@ __all__ = [
     "NonUnitConstantTerm",
     "Poly",
     "Prediction",
-    "Rational",
     "Report",
     "SequenceFamily",
     "Series",
-    "THEOREM_CLAIMS",
     "UnsupportedFamily",
     "ZeroDivisorEncountered",
     "backshift_toeplitz_product",
@@ -131,7 +117,6 @@ __all__ = [
     "catalan_number",
     "choose2_parity",
     "cross_check",
-    "default_range",
     "det",
     "det_bareiss",
     "det_cofactor",
@@ -146,9 +131,4 @@ __all__ = [
     "reflection_check",
     "sign_choose2",
     "verify_claim",
-    "verify_conjecture10",
-    "verify_conjecture11",
-    "verify_conjecture12",
-    "verify_modular_patterns",
-    "verify_theorem",
 ]

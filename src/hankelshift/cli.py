@@ -212,15 +212,19 @@ def _run_table(args, parser) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _grid_from_flags(args, claim: str) -> verify.GridRange:
-    base = verify.default_range(claim)
-    return verify.GridRange(
+def _grid_from_flags(args, parser) -> verify.GridRange:
+    base = verify.CLAIMS[args.claim].default
+    grid = verify.GridRange(
         m_min=args.m_min if args.m_min is not None else base.m_min,
         m_max=args.m_max if args.m_max is not None else base.m_max,
         n_max=args.n_max if args.n_max is not None else base.n_max,
         k_list=args.k if args.k is not None else base.k_list,
         b_list=args.b if args.b is not None else base.b_list,
     )
+    try:
+        return verify.resolve_grid(args.claim, grid)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _report_csv(report: verify.Report) -> str:
@@ -243,7 +247,7 @@ def _report_csv(report: verify.Report) -> str:
 
 
 def _run_verify(args, parser) -> tuple[str, int]:
-    grid = _grid_from_flags(args, args.claim)
+    grid = _grid_from_flags(args, parser)
     report = verify.verify_claim(args.claim, grid)
     if args.format == "json":
         text = report.to_json() + "\n"

@@ -1,10 +1,8 @@
 """Exact scalar, polynomial and truncated power-series arithmetic.
 
-Scalars are plain Python ints (arbitrary precision), rationals are
-``fractions.Fraction`` (always lowest terms, positive denominator),
-polynomials are dense integer-coefficient polynomials in ``t``, and series
-are truncated formal power series in ``x`` whose coefficients are
-polynomials.  Nothing in this module ever rounds: a division either
+Scalars are plain Python ints (arbitrary precision), polynomials are
+dense integer-coefficient polynomials in ``t``, and series are truncated
+formal power series in ``x`` whose coefficients are polynomials.  Nothing in this module ever rounds: a division either
 succeeds exactly or raises :class:`~hankelshift.errors.NonExactDivision`.
 """
 
@@ -12,15 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import NonExactDivision, NonUnitConstantTerm
-
-# Aliases documenting intent; Python ints/Fractions already satisfy the
-# exactness invariants (no overflow, lowest terms, positive denominator).
-ExactInt = int
-Rational = Fraction
 
 #: Default truncation length for generating series.
 DEFAULT_SERIES_ORDER = 64

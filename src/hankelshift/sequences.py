@@ -19,21 +19,28 @@ from .errors import NonExactDivision
 from .ring import DEFAULT_SERIES_ORDER, Poly, Series, binomial
 
 
+# C_0, C_1, ... as far as any call has needed them.
+_catalan_prefix = [1]
+
+
 @functools.lru_cache(maxsize=None)
 def catalan_number(n: int) -> int:
     """n-th Catalan number via the ratio recurrence C_n = C_{n-1}*2(2n-1)/(n+1).
 
     Each step's division must be exact, which makes the recurrence
-    self-checking against coding mistakes.
+    self-checking against coding mistakes.  The recurrence runs in one loop
+    from the last term computed so far, so a first request for a large n
+    needs no deep call stack.
     """
     if n < 0:
         raise ValueError("catalan_number is defined for n >= 0")
-    if n == 0:
-        return 1
-    q, r = divmod(catalan_number(n - 1) * 2 * (2 * n - 1), n + 1)
-    if r:
-        raise NonExactDivision(f"catalan recurrence left a remainder at n={n}")
-    return q
+    prefix = _catalan_prefix
+    for i in range(len(prefix), n + 1):
+        q, r = divmod(prefix[-1] * 2 * (2 * i - 1), i + 1)
+        if r:
+            raise NonExactDivision(f"catalan recurrence left a remainder at n={i}")
+        prefix.append(q)
+    return prefix[n]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,12 +1,15 @@
 """Machine verification of determinant claims over explicit finite grids.
 
-Each claim pairs a closed-form (or cross-determinant) expectation with an
-actually computed Hankel determinant, cell by cell.  Expected and actual
-values never share a code path: expectations come from
-:mod:`hankelshift.closed_forms` or from determinants of *different* specs
-when the claim itself relates two determinants.
+Every claim is one entry of :data:`CLAIMS`: summary, proven or not, default
+grid, accepted k values and a cell walk.  A walk yields each cell's
+parameters, expected value and the :class:`~hankelshift.hankel.HankelSpec`
+whose determinant should equal it.  :func:`verify_claim`, the single entry
+point, is the only place that determinant is computed, so expected and
+actual values never share a code path: expectations come from
+:mod:`hankelshift.closed_forms`, from the recorded pattern formulas, or
+from determinants of *different* specs when the claim relates two.
 
-Proven claims (ids ``t1``, ``t6``, ``t7``, ``t9``, ``t8``) must pass on any
+Proven claims (ids ``t1``, ``t6``, ``t7``, ``t8``, ``t9``) must pass on any
 grid; a failing cell there is a bug.  The conjectured claims (``c10``,
 ``c11``, ``c12``, ``patterns``) are range checks only, and their reports say
 so explicitly: agreement over a finite grid proves nothing beyond it.
@@ -15,11 +18,13 @@ so explicitly: agreement over a finite grid proves nothing beyond it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from . import closed_forms, hankel
 from .errors import IdentityViolation, NonIntegerResult
+from .hankel import HankelSpec
 from .ring import Poly, choose2_parity, sign_choose2
 from .sequences import (
     Catalan,
@@ -29,24 +34,6 @@ from .sequences import (
     NarayanaB,
     NarayanaC,
 )
-
-THEOREM_CLAIMS = ("t1", "t6", "t7", "t8", "t9")
-CONJECTURE_CLAIMS = ("c10", "c11", "c12", "patterns")
-ALL_CLAIMS = THEOREM_CLAIMS + CONJECTURE_CLAIMS
-
-CLAIM_SUMMARIES = {
-    "t1": "backward Catalan determinants equal the reflected product formula",
-    "t6": "backward M-number determinants are b-independent and equal the Catalan ones",
-    "t7": "backward central-binomial determinants carry an extra factor 2^(n-m-1)",
-    "t8": "backward Narayana determinants equal signed t-power times forward values",
-    "t9": "backward type-B Narayana determinants scale the same way by (2t)^(n-m-1)",
-    "c10": "backward convolution-power determinants mirror forward ones (conjecture)",
-    "c11": "diagonal convolution-power determinants are unit/zero periodic (conjecture)",
-    "c12": "near-diagonal convolution-power determinants grow like (n+1)^m (conjecture)",
-    "patterns": "order-k convolution determinants at shift 0 follow modular patterns (conjecture)",
-}
-
-_PATTERN_ORDERS = (3, 4, 5, 6, 7)
 
 
 @dataclass(frozen=True)
@@ -60,42 +47,27 @@ class GridRange:
     b_list: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "m_min": self.m_min,
-            "m_max": self.m_max,
-            "n_max": self.n_max,
-            "k_list": list(self.k_list),
-            "b_list": list(self.b_list),
-        }
+        return {**asdict(self), "k_list": list(self.k_list), "b_list": list(self.b_list)}
 
     @classmethod
     def from_dict(cls, data: dict) -> GridRange:
-        return cls(
-            m_min=data["m_min"],
-            m_max=data["m_max"],
-            n_max=data["n_max"],
-            k_list=tuple(data["k_list"]),
-            b_list=tuple(data["b_list"]),
-        )
+        return cls(data["m_min"], data["m_max"], data["n_max"],
+                   tuple(data["k_list"]), tuple(data["b_list"]))
 
 
 _PARAM_ORDER = ("k", "b", "m", "n")
+Params = tuple[tuple[str, int], ...]
 
 
-def _params(k: int | None = None, b: int | None = None,
-            m: int | None = None, n: int | None = None) -> tuple[tuple[str, int], ...]:
-    pairs = []
-    for name, value in zip(_PARAM_ORDER, (k, b, m, n)):
-        if value is not None:
-            pairs.append((name, value))
-    return tuple(pairs)
+def _params(**values: int | None) -> Params:
+    return tuple((name, values[name]) for name in _PARAM_ORDER if values.get(name) is not None)
 
 
 @dataclass(frozen=True)
 class Cell:
     """One grid point: expectation against computed determinant."""
 
-    params: tuple[tuple[str, int], ...]
+    params: Params
     expected: Poly
     actual: Poly
 
@@ -120,12 +92,7 @@ class Cell:
 
     @classmethod
     def from_dict(cls, data: dict) -> Cell:
-        params = tuple(
-            (name, data["params"][name])
-            for name in _PARAM_ORDER
-            if name in data["params"]
-        )
-        return cls(params, Poly.parse(data["expected"]), Poly.parse(data["actual"]))
+        return cls(_params(**data["params"]), Poly.parse(data["expected"]), Poly.parse(data["actual"]))
 
 
 @dataclass(frozen=True)
@@ -146,7 +113,7 @@ class Report:
 
     @property
     def is_theorem(self) -> bool:
-        return self.claim_id in THEOREM_CLAIMS
+        return self.claim_id in CLAIMS and CLAIMS[self.claim_id].is_theorem
 
     def to_dict(self) -> dict:
         return {
@@ -176,9 +143,8 @@ class Report:
         g = self.range
         verdict = "PASS" if self.all_pass else "FAIL"
         lines = [f"claim {self.claim_id}: {verdict} ({len(self.cells)} cells)"]
-        summary = CLAIM_SUMMARIES.get(self.claim_id)
-        if summary:
-            lines.append(f"claim: {summary}")
+        if self.claim_id in CLAIMS:
+            lines.append(f"claim: {CLAIMS[self.claim_id].summary}")
         bounds = [f"m in [{g.m_min}, {g.m_max}]", f"n <= {g.n_max}"]
         if g.k_list:
             bounds.append(f"k in {list(g.k_list)}")
@@ -200,258 +166,211 @@ class Report:
         return "\n".join(lines)
 
 
-def _report(claim_id: str, grid: GridRange, cells: list[Cell]) -> Report:
-    # Deterministic cell order regardless of how the grid was walked.
-    cells = sorted(cells, key=Cell.sort_key)
-    return Report(claim_id, grid, tuple(cells))
+Walk = Callable[[GridRange], Iterator[tuple[Params, Poly, HankelSpec]]]
 
 
-def default_range(claim_id: str) -> GridRange:
-    """Grid each claim is checked over when no range is given."""
-    if claim_id == "t1":
-        return GridRange(m_min=1, m_max=5, n_max=25)
-    if claim_id == "t6":
-        return GridRange(m_min=1, m_max=4, n_max=15, b_list=(-2, -1, 0, 1, 2, 3))
-    if claim_id == "t7":
-        return GridRange(m_min=1, m_max=4, n_max=15)
-    if claim_id in ("t8", "t9"):
-        return GridRange(m_min=1, m_max=3, n_max=10)
-    if claim_id in ("c10", "c11", "c12"):
-        return GridRange(m_min=0, m_max=3, n_max=15, k_list=(1, 2, 3, 4))
-    if claim_id == "patterns":
-        return GridRange(m_min=0, m_max=0, n_max=21, k_list=_PATTERN_ORDERS)
-    raise ValueError(f"unknown claim {claim_id!r}")
+def _backward(families: Callable[[GridRange], list], reflect: bool = False) -> Walk:
+    """Walk of a proven claim over the (b or None, family) pairs ``families(grid)``.
 
-
-def _theorem_families(claim_id: str, grid: GridRange):
-    """(b-or-None, family) pairs a theorem grid ranges over."""
-    if claim_id == "t1":
-        return [(None, Catalan())]
-    if claim_id == "t6":
-        b_values = grid.b_list or default_range("t6").b_list
-        return [(b, MNumbers(b)) for b in b_values]
-    if claim_id == "t7":
-        return [(None, CentralBinomial())]
-    if claim_id == "t8":
-        return [(None, NarayanaC())]
-    if claim_id == "t9":
-        return [(None, NarayanaB())]
-    raise ValueError(f"unknown theorem claim {claim_id!r}")
-
-
-def verify_theorem(claim_id: str, grid: GridRange | None = None) -> Report:
-    """Check one proven backward-shift claim on a grid of (m, n) cells.
-
-    For the numeric families the piecewise prediction must also agree with
-    the reflected product formula evaluated directly at -n; the two are one
+    With ``reflect`` (Catalan values) the prediction must also equal the
+    reflected product formula evaluated directly at -n; the two are one
     identity, so a mismatch is an internal bug and raised, not reported.
     """
-    if claim_id not in THEOREM_CLAIMS:
-        raise ValueError(f"unknown theorem claim {claim_id!r}")
-    grid = grid if grid is not None else default_range(claim_id)
-    cells: list[Cell] = []
-    for b, family in _theorem_families(claim_id, grid):
-        for m in range(max(grid.m_min, 1), grid.m_max + 1):
-            for n in range(grid.n_max + 1):
-                prediction = closed_forms.predict_backward(family, m, n)
-                if claim_id in ("t1", "t6"):
-                    reflected = Poly.const(closed_forms.forward_catalan_det(m + 1, -n))
-                    if reflected != prediction.value:
-                        raise IdentityViolation(
-                            f"reflection and signed-forward forms disagree at m={m}, n={n}"
-                        )
-                actual = hankel.det(prediction.spec).value
-                cells.append(Cell(_params(b=b, m=m, n=n), prediction.value, actual))
-    return _report(claim_id, grid, cells)
-
-
-def _det_value(family, shift: int, size: int) -> Poly:
-    return hankel.det(hankel.HankelSpec(family, shift, size)).value
-
-
-def verify_conjecture10(grid: GridRange | None = None) -> Report:
-    """Backward vs forward convolution-power determinants.
-
-    For each requested k both parities are checked; cell parameter ``k`` is
-    the actual convolution order (2k for the even arm, 2k-1 for the odd
-    one).  Expected values are determinants of different specs, as the
-    claim itself relates two determinants; there is no closed form here.
-    """
-    grid = grid if grid is not None else default_range("c10")
-    cells: list[Cell] = []
-    for k in grid.k_list:
-        # (order, lhs shift at m=0, size below which the det vanishes,
-        #  sign exponent argument, rhs shift), both parities of the order.
-        arms = (
-            (2 * k, 1 - k, k, k, lambda m, k=k: 1 - k + m),
-            (2 * k - 1, 2 - k, k - 1, k - 1, lambda m, k=k: m + 1 - k),
-        )
-        for order, base, bound_off, sign_off, rhs_shift_of in arms:
-            family = ConvCatalan(order)
-            for m in range(max(grid.m_min, 0), grid.m_max + 1):
-                bound = m + bound_off          # zero below this size
-                sign = sign_choose2(m + sign_off)
-                rhs_shift = rhs_shift_of(m)
+    def walk(grid: GridRange):
+        for b, family in families(grid):
+            for m in range(max(grid.m_min, 1), grid.m_max + 1):
                 for n in range(grid.n_max + 1):
-                    actual = _det_value(family, base - m, n)
-                    if n == 0:
-                        expected = Poly.const(1)
-                    elif n < bound:
-                        expected = Poly()
-                    else:
-                        expected = sign * _det_value(family, rhs_shift, n - bound)
-                    cells.append(Cell(_params(k=order, m=m, n=n), expected, actual))
-    return _report("c10", grid, cells)
+                    prediction = closed_forms.predict_backward(family, m, n)
+                    if reflect and prediction.value != closed_forms.forward_catalan_det(m + 1, -n):
+                        raise IdentityViolation(
+                            f"reflection and signed-forward forms disagree at m={m}, n={n}")
+                    yield _params(b=b, m=m, n=n), prediction.value, prediction.spec
+    return walk
 
 
-def verify_conjecture11(grid: GridRange | None = None) -> Report:
-    """Unit/zero periodicity of the fully backward diagonal determinants."""
-    grid = grid if grid is not None else default_range("c11")
-    cells: list[Cell] = []
-    for k in grid.k_list:
-        even_family = ConvCatalan(2 * k)
-        for a in range(grid.n_max + 1):
-            if a % k == 0:
-                q = a // k
-                expected = Poly.const(-1 if (choose2_parity(k) * q) & 1 else 1)
-            else:
-                expected = Poly()
-            actual = _det_value(even_family, 1 - k, a)
-            cells.append(Cell(_params(k=2 * k, m=0, n=a), expected, actual))
+def _arms(grid: GridRange):
+    """(k, order, off) of both arms of each k: even (2k, k) and odd (2k-1, k-1).
 
-        step = 2 * k - 1
-        odd_family = ConvCatalan(step)
-        for a in range(grid.n_max + 1):
-            if a % step == 0:
-                q = a // step
-                expected = Poly.const(-1 if ((k - 1) * q) & 1 else 1)
-            elif a % step == k - 1:
-                q = (a - (k - 1)) // step
-                parity = ((k - 1) * q + choose2_parity(k - 1)) & 1
-                expected = Poly.const(-1 if parity else 1)
-            else:
-                expected = Poly()
-            actual = _det_value(odd_family, 2 - k, a)
-            cells.append(Cell(_params(k=step, m=0, n=a), expected, actual))
-    return _report("c11", grid, cells)
-
-
-def verify_conjecture12(grid: GridRange | None = None) -> Report:
-    """Near-diagonal determinants against signed powers (n+1)^m, 0 <= m <= k.
-
-    At k=1 the even arm literally reproduces the two classical forward
-    identities (constant 1 at m=0 and n+1 at m=1), so those consistency
-    cells ride along in every default run.
+    Every conjecture shift follows from ``off``; cell parameter ``k`` is the order.
     """
-    grid = grid if grid is not None else default_range("c12")
-    cells: list[Cell] = []
     for k in grid.k_list:
-        for m in range(max(grid.m_min, 0), min(k, grid.m_max) + 1):
-            even_family = ConvCatalan(2 * k)
-            q = 0
-            while k * q <= grid.n_max:
-                a = k * q
-                sign = -1 if (choose2_parity(k) * q) & 1 else 1
-                expected = Poly.const(sign * (q + 1) ** m)
-                actual = _det_value(even_family, m + 1 - k, a)
-                cells.append(Cell(_params(k=2 * k, m=m, n=a), expected, actual))
-                q += 1
+        yield k, 2 * k, k
+        yield k, 2 * k - 1, k - 1
 
-            step = 2 * k - 1
-            odd_family = ConvCatalan(step)
-            q = 0
-            while step * q + k - 1 <= grid.n_max:
-                a = step * q + k - 1
-                parity = (choose2_parity(k - 1) + (k - 1) * q) & 1
-                sign = -1 if parity else 1
-                expected = Poly.const(sign * step ** m * (q + 1) ** m)
-                actual = _det_value(odd_family, m + 2 - k, a)
-                cells.append(Cell(_params(k=step, m=m, n=a), expected, actual))
-                q += 1
-    return _report("c12", grid, cells)
+
+def _walk_c10(grid: GridRange):
+    """Backward (shift 1-off-m) against forward (shift m+1-k) determinants.
+
+    The claim relates two determinants; there is no closed form here.
+    """
+    for k, order, off in _arms(grid):
+        family = ConvCatalan(order)
+        for m in range(max(grid.m_min, 0), grid.m_max + 1):
+            bound = m + off                    # zero below this size
+            sign = sign_choose2(bound)
+            for n in range(grid.n_max + 1):
+                if n == 0:
+                    expected = Poly.const(1)
+                elif n < bound:
+                    expected = Poly()
+                else:
+                    expected = sign * hankel.det(HankelSpec(family, m + 1 - k, n - bound)).value
+                yield _params(k=order, m=m, n=n), expected, HankelSpec(family, 1 - off - m, n)
+
+
+def _units(order: int, off: int) -> tuple[int, int, dict[int, int]]:
+    """(period, step, {residue: extra}) of an arm's unit determinants at shift 1-off.
+
+    At size a = period*q + r the determinant is (-1)^(step*q + extra) when r
+    is a key, and 0 otherwise.
+    """
+    if order % 2 == 0:
+        return off, choose2_parity(off), {0: 0}
+    return order, off, {0: 0, off: choose2_parity(off)}
+
+
+def _walk_c11(grid: GridRange):
+    """Unit/zero periodicity of the fully backward diagonal (shift 1-off)."""
+    for k, order, off in _arms(grid):
+        family = ConvCatalan(order)
+        period, step, units = _units(order, off)
+        for a in range(grid.n_max + 1):
+            q, r = divmod(a, period)
+            unit = (-1 if (step * q + units[r]) & 1 else 1) if r in units else 0
+            yield _params(k=order, m=0, n=a), Poly.const(unit), HankelSpec(family, 1 - off, a)
+
+
+def _walk_c12(grid: GridRange):
+    """Near-diagonal determinants (shift m+1-off) against signed powers, 0 <= m <= k.
+
+    On the unit residue r = off mod period of c11 the value is that unit
+    times (q+1)^m, and on the odd arm also times order^m.  At k=1 the even
+    arm is the two classical forward identities (1 at m=0, n+1 at m=1).
+    """
+    for k, order, off in _arms(grid):
+        family = ConvCatalan(order)
+        period, step, units = _units(order, off)
+        r = off % period
+        scale = 1 if order % 2 == 0 else order
+        for m in range(max(grid.m_min, 0), min(k, grid.m_max) + 1):
+            for q, a in enumerate(range(r, grid.n_max + 1, period)):
+                sign = -1 if (step * q + units[r]) & 1 else 1
+                expected = Poly.const(sign * (scale * (q + 1)) ** m)
+                yield _params(k=order, m=m, n=a), expected, HankelSpec(family, m + 1 - off, a)
+
+
+# Shift-0 determinant of ConvCatalan(k) at size a = period*q + r: the period
+# and the values for r = 0, 1, ..., in terms of q and s = (-1)^q.  The
+# rational constants (3/2, 7/6) are multiplied out over Fraction and
+# asserted integral, mirroring the product-formula strategy.
+_PATTERNS = {
+    3: (3, lambda q, s: (s, s, 0)),
+    4: (2, lambda q, s: (s * (q + 1), s * (q + 1))),
+    5: (5, lambda q, s: (1, 1, -5 * (q + 1), 0, 5 * (q + 1))),
+    6: (3, lambda q, s: (s * (q + 1) ** 2, s * (q + 1) ** 2,
+                         -s * Fraction(3, 2) * (1 + q) * (2 + q) * (3 + 2 * q))),
+    7: (7, lambda q, s: (s, s, s * Fraction(7, 6) * (1 + q) * (-12 + 49 * q + 98 * q * q),
+                         -s * 49 * (q + 1) ** 2, 0, s * 49 * (q + 1) ** 2,
+                         s * Fraction(7, 6) * (1 + q) * (282 + 343 * q + 98 * q * q))),
+}
 
 
 def _pattern_expected(k: int, a: int) -> int:
-    """Value the shift-0 determinant of order k should take at size a.
-
-    The rational constants (3/2, 7/6) are multiplied out over Fraction and
-    asserted integral, mirroring the product-formula strategy.
-    """
-    if k == 3:
-        q, r = divmod(a, 3)
-        value = Fraction(0) if r == 2 else Fraction((-1) ** (q & 1))
-    elif k == 4:
-        q, r = divmod(a, 2)
-        value = Fraction((-1) ** (q & 1) * (q + 1))
-    elif k == 5:
-        q, r = divmod(a, 5)
-        value = (
-            Fraction(1),
-            Fraction(1),
-            Fraction(-5 * (q + 1)),
-            Fraction(0),
-            Fraction(5 * (q + 1)),
-        )[r]
-    elif k == 6:
-        q, r = divmod(a, 3)
-        sign = (-1) ** (q & 1)
-        if r == 2:
-            value = -sign * Fraction(3, 2) * (1 + q) * (2 + q) * (3 + 2 * q)
-        else:
-            value = Fraction(sign * (q + 1) ** 2)
-    elif k == 7:
-        q, r = divmod(a, 7)
-        sign = (-1) ** (q & 1)
-        if r in (0, 1):
-            value = Fraction(sign)
-        elif r == 2:
-            value = sign * Fraction(7, 6) * (1 + q) * (-12 + 49 * q + 98 * q * q)
-        elif r == 3:
-            value = Fraction(-sign * 49 * (q + 1) ** 2)
-        elif r == 4:
-            value = Fraction(0)
-        elif r == 5:
-            value = Fraction(sign * 49 * (q + 1) ** 2)
-        else:
-            value = sign * Fraction(7, 6) * (1 + q) * (282 + 343 * q + 98 * q * q)
-    else:
-        raise ValueError(f"no modular pattern recorded for k={k}")
+    """Value the shift-0 determinant of order k should take at size a."""
+    period, values = _PATTERNS[k]
+    q, r = divmod(a, period)
+    value = Fraction(values(q, -1 if q & 1 else 1)[r])
     if value.denominator != 1:
         raise NonIntegerResult(f"pattern value for k={k}, size {a} is {value}")
     return int(value)
 
 
-def verify_modular_patterns(k: int, n_max: int = 21) -> Report:
-    """Check the recorded residue-class formulas for one convolution order."""
-    if k not in _PATTERN_ORDERS:
-        raise ValueError(f"k must be in {_PATTERN_ORDERS}")
-    family = ConvCatalan(k)
-    cells = [
-        Cell(
-            _params(k=k, m=0, n=a),
-            Poly.const(_pattern_expected(k, a)),
-            _det_value(family, 0, a),
-        )
-        for a in range(n_max + 1)
-    ]
-    grid = GridRange(m_min=0, m_max=0, n_max=n_max, k_list=(k,))
-    return _report("patterns", grid, cells)
+def _walk_patterns(grid: GridRange):
+    """The recorded residue-class formulas at shift 0, one order k at a time."""
+    for k in grid.k_list:
+        family = ConvCatalan(k)
+        for a in range(grid.n_max + 1):
+            expected = Poly.const(_pattern_expected(k, a))
+            yield _params(k=k, m=0, n=a), expected, HankelSpec(family, 0, a)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim: what it states, where it is checked by default, how to walk a grid."""
+
+    summary: str
+    is_theorem: bool
+    default: GridRange
+    walk: Walk
+    # Accepted k values as (lowest, highest or None); None when k is unused.
+    k_domain: tuple[int, int | None] | None = None
+
+
+_CONV = GridRange(m_min=0, m_max=3, n_max=15, k_list=(1, 2, 3, 4))
+
+CLAIMS: dict[str, Claim] = {
+    "t1": Claim("backward Catalan determinants equal the reflected product formula",
+                True, GridRange(m_min=1, m_max=5, n_max=25),
+                _backward(lambda grid: [(None, Catalan())], reflect=True)),
+    "t6": Claim("backward M-number determinants are b-independent and equal the Catalan ones",
+                True, GridRange(m_min=1, m_max=4, n_max=15, b_list=(-2, -1, 0, 1, 2, 3)),
+                _backward(lambda grid: [(b, MNumbers(b)) for b in grid.b_list], reflect=True)),
+    "t7": Claim("backward central-binomial determinants carry an extra factor 2^(n-m-1)",
+                True, GridRange(m_min=1, m_max=4, n_max=15),
+                _backward(lambda grid: [(None, CentralBinomial())])),
+    "t8": Claim("backward Narayana determinants equal signed t-power times forward values",
+                True, GridRange(m_min=1, m_max=3, n_max=10),
+                _backward(lambda grid: [(None, NarayanaC())])),
+    "t9": Claim("backward type-B Narayana determinants scale the same way by (2t)^(n-m-1)",
+                True, GridRange(m_min=1, m_max=3, n_max=10),
+                _backward(lambda grid: [(None, NarayanaB())])),
+    "c10": Claim("backward convolution-power determinants mirror forward ones (conjecture)",
+                 False, _CONV, _walk_c10, k_domain=(1, None)),
+    "c11": Claim("diagonal convolution-power determinants are unit/zero periodic (conjecture)",
+                 False, _CONV, _walk_c11, k_domain=(1, None)),
+    "c12": Claim("near-diagonal convolution-power determinants grow like (n+1)^m (conjecture)",
+                 False, _CONV, _walk_c12, k_domain=(1, None)),
+    "patterns": Claim(
+        "order-k convolution determinants at shift 0 follow modular patterns (conjecture)",
+        False, GridRange(m_min=0, m_max=0, n_max=21, k_list=tuple(_PATTERNS)),
+        _walk_patterns, k_domain=(min(_PATTERNS), max(_PATTERNS))),
+}
+
+ALL_CLAIMS = tuple(CLAIMS)
+
+
+def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
+    """The grid :func:`verify_claim` walks and echoes for this request.
+
+    No grid means the claim's default grid, an empty b list its default b
+    values.  Raises ValueError for an unknown claim or a k outside the
+    claim's domain, before any determinant is computed.
+    """
+    if claim_id not in CLAIMS:
+        raise ValueError(f"unknown claim {claim_id!r}")
+    claim = CLAIMS[claim_id]
+    grid = claim.default if grid is None else grid
+    if not grid.b_list:
+        grid = replace(grid, b_list=claim.default.b_list)
+    if claim.k_domain is not None:
+        low, high = claim.k_domain
+        for k in grid.k_list:
+            if k < low or (high is not None and k > high):
+                allowed = f"k >= {low}" if high is None else f"k in {low}..{high}"
+                raise ValueError(f"claim {claim_id} takes {allowed}, got k={k}")
+    return grid
 
 
 def verify_claim(claim_id: str, grid: GridRange | None = None) -> Report:
-    """Run any claim by id, with its default grid unless one is given."""
-    if claim_id in THEOREM_CLAIMS:
-        return verify_theorem(claim_id, grid)
-    if claim_id == "c10":
-        return verify_conjecture10(grid)
-    if claim_id == "c11":
-        return verify_conjecture11(grid)
-    if claim_id == "c12":
-        return verify_conjecture12(grid)
-    if claim_id == "patterns":
-        grid = grid if grid is not None else default_range("patterns")
-        cells: list[Cell] = []
-        for k in grid.k_list:
-            cells.extend(verify_modular_patterns(k, grid.n_max).cells)
-        return _report("patterns", grid, cells)
-    raise ValueError(f"unknown claim {claim_id!r}")
+    """Check one claim over a grid (its default grid unless one is given).
+
+    Each cell's actual value is ``hankel.det(spec).value`` of the spec its walk yielded.
+    """
+    grid = resolve_grid(claim_id, grid)
+    cells = [
+        Cell(params, expected, hankel.det(spec).value)
+        for params, expected, spec in CLAIMS[claim_id].walk(grid)
+    ]
+    # Deterministic cell order regardless of how the grid was walked.
+    cells.sort(key=Cell.sort_key)
+    return Report(claim_id, grid, tuple(cells))

@@ -31,8 +31,6 @@ from hankelshift import (
     predict_backward,
     sign_choose2,
     verify_claim,
-    verify_modular_patterns,
-    verify_theorem,
 )
 
 from anchors import DET_CONV, DET_NARAYANA_B_BWD, DET_NARAYANA_BWD
@@ -74,7 +72,7 @@ def test_criterion_1_backward_catalan_grid():
 def test_criterion_2_m_numbers_grid():
     with criterion(2, "backward M-number grid passes and is b-independent"):
         grid = GridRange(m_min=1, m_max=4, n_max=15, b_list=(-2, -1, 0, 1, 2, 3))
-        report = verify_theorem("t6", grid)
+        report = verify_claim("t6", grid)
         assert report.all_pass
         by_mn = {}
         for cell in report.cells:
@@ -89,7 +87,7 @@ def test_criterion_2_m_numbers_grid():
 
 def test_criterion_3_central_binomial_grid():
     with criterion(3, "backward central-binomial grid matches the 2^(n-m-1) scaling"):
-        report = verify_theorem("t7", GridRange(m_min=1, m_max=4, n_max=15))
+        report = verify_claim("t7", GridRange(m_min=1, m_max=4, n_max=15))
         assert report.all_pass
         for m in range(1, 5):
             for n in range(m + 1, 16):
@@ -102,8 +100,8 @@ def test_criterion_3_central_binomial_grid():
 def test_criterion_4_narayana_grids():
     with criterion(4, "backward Narayana grids (both types) pass with exact polynomials"):
         grid = GridRange(m_min=1, m_max=3, n_max=10)
-        assert verify_theorem("t8", grid).all_pass
-        assert verify_theorem("t9", grid).all_pass
+        assert verify_claim("t8", grid).all_pass
+        assert verify_claim("t9", grid).all_pass
         assert det(HankelSpec(NarayanaC(), -1, 3)).value == Poly((0, -1, -1))
         want = Poly((0, 2)) * Poly((1, 1)) * Poly((1, 5, 1))  # 2t(1+t)(1+5t+t^2)
         assert det(HankelSpec(NarayanaB(), -3, 5)).value == want
@@ -125,7 +123,7 @@ def test_criterion_5_conjectures_and_patterns():
             assert "n <= 21" in text
             assert "not proof" in text
         for k in (3, 4, 5, 6, 7):
-            report = verify_modular_patterns(k, n_max=21)
+            report = verify_claim("patterns", GridRange(n_max=21, k_list=(k,)))
             assert report.all_pass, k
             assert "not proof" in report.render_text()
         for (order, shift), row in DET_CONV.items():

@@ -1,6 +1,12 @@
-"""Command line interface tests (run in process through main)."""
+"""Command line interface tests (run in process through main, or in a fresh interpreter)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from hankelshift.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -10,6 +16,7 @@ from hankelshift.cli import (
     EXIT_USAGE,
     main,
 )
+from hankelshift.sequences import catalan_number
 
 
 def run(capsys, *argv):
@@ -34,6 +41,20 @@ def test_gen_narayana_polynomials(capsys):
     code, out, _ = run(capsys, "gen", "--family", "narayana-c", "--from", "0", "--to", "3")
     assert code == EXIT_OK
     assert out == "1 1 1+t 1+3*t+t^2\n"
+
+
+def test_cold_catalan_request_matches_warm_value():
+    # A fresh interpreter has no cached terms, so the first term asked for is n=3000.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hankelshift.cli", "gen", "--family", "catalan",
+         "--from", "3000", "--to", "3000"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    warm = [catalan_number(n) for n in range(3001)][-1]
+    assert proc.stdout == f"{warm}\n"
 
 
 def test_gen_json_and_csv(capsys):
@@ -170,6 +191,28 @@ def test_verify_csv_cells(capsys):
 def test_verify_unknown_claim_is_usage_error(capsys):
     code, _, _ = run(capsys, "verify", "t2")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [("patterns", "--k", "8"), ("patterns", "--k", "3,2"),
+                                  ("c10", "--k", "0"), ("c11", "--k", "1,-1"),
+                                  ("c12", "--k", "0")])
+def test_verify_k_outside_claim_domain_is_usage_error(argv, capsys):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"hankelshift: error: claim {argv[0]} takes k" in err
+
+
+def test_verify_empty_b_list_echoes_walked_default(capsys):
+    code, out, _ = run(capsys, "verify", "t6", "--b=", "--m-max", "1", "--n-max", "3")
+    assert code == EXIT_OK
+    assert "claim t6: PASS (24 cells)" in out
+    assert "range: m in [1, 1], n <= 3, b in [-2, -1, 0, 1, 2, 3]" in out
+    code, out, _ = run(capsys, "verify", "t6", "--b=", "--m-max", "1", "--n-max", "3",
+                       "--format", "json")
+    data = json.loads(out)
+    assert data["range"]["b_list"] == [-2, -1, 0, 1, 2, 3]
+    assert {cell["params"]["b"] for cell in data["cells"]} == set(data["range"]["b_list"])
 
 
 def test_exit_code_mapping_for_failures(monkeypatch, capsys):

@@ -4,19 +4,8 @@ import json
 
 import pytest
 
-from hankelshift import (
-    Cell,
-    GridRange,
-    Poly,
-    Report,
-    default_range,
-    verify_claim,
-    verify_conjecture10,
-    verify_conjecture11,
-    verify_conjecture12,
-    verify_modular_patterns,
-    verify_theorem,
-)
+from hankelshift import Cell, GridRange, Poly, Report, hankel, verify_claim
+from hankelshift.verify import CLAIMS
 
 from anchors import DET_CONV
 
@@ -37,7 +26,7 @@ def small(claim):
 
 @pytest.mark.parametrize("claim", ["t1", "t6", "t7", "t8", "t9"])
 def test_theorem_grids_pass(claim):
-    report = verify_theorem(claim, small(claim))
+    report = verify_claim(claim, small(claim))
     assert report.all_pass
     assert report.counterexamples == ()
     assert report.is_theorem
@@ -46,18 +35,18 @@ def test_theorem_grids_pass(claim):
 @pytest.mark.parametrize("claim", ["t1", "t6", "t7", "t8", "t9"])
 def test_theorem_reports_pass_at_default_ranges(claim):
     # any failure here is a build-stopping event, not a finding
-    assert verify_theorem(claim).all_pass
+    assert verify_claim(claim).all_pass
 
 
 def test_t1_anchor_cell():
-    report = verify_theorem("t1", GridRange(m_min=3, m_max=3, n_max=12))
+    report = verify_claim("t1", GridRange(m_min=3, m_max=3, n_max=12))
     cell = [c for c in report.cells if c.param("m") == 3 and c.param("n") == 12][0]
     assert cell.expected == 21945
     assert cell.actual == 21945
 
 
 def test_t6_displayed_determinants():
-    report = verify_theorem("t6", GridRange(m_min=1, m_max=2, n_max=4, b_list=(0, 1)))
+    report = verify_claim("t6", GridRange(m_min=1, m_max=2, n_max=4, b_list=(0, 1)))
     for b in (0, 1):
         for m, want in ((1, -3), (2, -5)):
             cell = [
@@ -69,7 +58,7 @@ def test_t6_displayed_determinants():
 
 
 def test_t6_is_b_independent():
-    report = verify_theorem("t6", GridRange(m_min=1, m_max=2, n_max=6, b_list=(-2, 0, 3)))
+    report = verify_claim("t6", GridRange(m_min=1, m_max=2, n_max=6, b_list=(-2, 0, 3)))
     by_mn = {}
     for cell in report.cells:
         by_mn.setdefault((cell.param("m"), cell.param("n")), set()).add(cell.expected)
@@ -77,14 +66,14 @@ def test_t6_is_b_independent():
 
 
 def test_t8_anchor_cell():
-    report = verify_theorem("t8", GridRange(m_min=2, m_max=2, n_max=4))
+    report = verify_claim("t8", GridRange(m_min=2, m_max=2, n_max=4))
     cell = [c for c in report.cells if c.param("n") == 4][0]
     assert cell.expected == Poly((0, -1, -3, -1))  # -t(1+3t+t^2)
     assert cell.passed
 
 
 def test_conjecture10_passes_and_matches_anchor_rows():
-    report = verify_conjecture10(small("c10"))
+    report = verify_claim("c10", small("c10"))
     assert report.all_pass
     # the two published example rows, via their raw determinants
     from hankelshift import ConvCatalan, HankelSpec, det
@@ -95,13 +84,13 @@ def test_conjecture10_passes_and_matches_anchor_rows():
 
 
 def test_conjecture10_cells_use_actual_convolution_order():
-    report = verify_conjecture10(GridRange(m_min=0, m_max=1, n_max=4, k_list=(2,)))
+    report = verify_claim("c10", GridRange(m_min=0, m_max=1, n_max=4, k_list=(2,)))
     orders = {cell.param("k") for cell in report.cells}
     assert orders == {3, 4}
 
 
 def test_conjecture11_values():
-    report = verify_conjecture11(small("c11"))
+    report = verify_claim("c11", small("c11"))
     assert report.all_pass
     # order 3 (odd arm of k=2): period three pattern 1, 1, 0 with alternating sign
     cells = [c for c in report.cells if c.param("k") == 3]
@@ -113,7 +102,7 @@ def test_conjecture11_values():
 
 
 def test_conjecture12_values():
-    report = verify_conjecture12(small("c12"))
+    report = verify_claim("c12", small("c12"))
     assert report.all_pass
     # k=1, m=1 reduces to the classical forward identities: constant 1 at
     # order 1 shift 2-1=... and n+1 on the plain forward Catalan grid
@@ -127,18 +116,18 @@ def test_conjecture12_values():
 
 
 def test_conjecture12_m_capped_by_k():
-    report = verify_conjecture12(GridRange(m_min=0, m_max=3, n_max=6, k_list=(1,)))
+    report = verify_claim("c12", GridRange(m_min=0, m_max=3, n_max=6, k_list=(1,)))
     assert max(c.param("m") for c in report.cells) == 1
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_modular_patterns_pass(k):
-    report = verify_modular_patterns(k, n_max=14)
+    report = verify_claim("patterns", GridRange(n_max=14, k_list=(k,)))
     assert report.all_pass
 
 
 def test_modular_pattern_anchor_values():
-    report = verify_modular_patterns(6, n_max=8)
+    report = verify_claim("patterns", GridRange(n_max=8, k_list=(6,)))
     cell = [c for c in report.cells if c.param("n") == 2][0]
     assert cell.expected == -9
     assert cell.actual == -9
@@ -146,12 +135,30 @@ def test_modular_pattern_anchor_values():
 
 def test_modular_patterns_rejects_unknown_order():
     with pytest.raises(ValueError):
-        verify_modular_patterns(8)
+        verify_claim("patterns", GridRange(n_max=21, k_list=(8,)))
+
+
+@pytest.mark.parametrize("claim, k_list", [("patterns", (8,)), ("patterns", (3, 2)),
+                                           ("c10", (0,)), ("c11", (2, -1)), ("c12", (0,))])
+def test_k_outside_claim_domain_raises_before_any_determinant(claim, k_list, monkeypatch):
+    def no_det(spec, *args, **kwargs):
+        raise AssertionError("a determinant ran before the grid was checked")
+
+    monkeypatch.setattr(hankel, "det", no_det)
+    with pytest.raises(ValueError, match=f"claim {claim} takes k"):
+        verify_claim(claim, GridRange(n_max=4, k_list=k_list))
+
+
+def test_empty_b_list_reports_the_default_b_values_it_walks():
+    report = verify_claim("t6", GridRange(m_min=1, m_max=1, n_max=3))
+    assert report.range.b_list == CLAIMS["t6"].default.b_list
+    assert len(report.cells) == 24
+    assert {c.param("b") for c in report.cells} == set(report.range.b_list)
 
 
 def test_verify_claim_dispatch_and_defaults():
     for claim in ("t1", "t6", "t7", "t8", "t9", "c10", "c11", "c12", "patterns"):
-        assert default_range(claim).n_max > 0
+        assert CLAIMS[claim].default.n_max > 0
     with pytest.raises(ValueError):
         verify_claim("t2")
     report = verify_claim("patterns", GridRange(n_max=6, k_list=(3, 4)))
@@ -161,13 +168,13 @@ def test_verify_claim_dispatch_and_defaults():
 
 
 def test_cells_sorted_deterministically():
-    report = verify_conjecture10(GridRange(m_min=0, m_max=2, n_max=5, k_list=(2, 1)))
+    report = verify_claim("c10", GridRange(m_min=0, m_max=2, n_max=5, k_list=(2, 1)))
     keys = [cell.sort_key() for cell in report.cells]
     assert keys == sorted(keys)
 
 
 def test_report_json_round_trip():
-    report = verify_theorem("t8", GridRange(m_min=1, m_max=2, n_max=5))
+    report = verify_claim("t8", GridRange(m_min=1, m_max=2, n_max=5))
     clone = Report.from_json(report.to_json())
     assert clone == report
     assert clone.all_pass == report.all_pass
@@ -175,7 +182,7 @@ def test_report_json_round_trip():
 
 
 def test_report_schema_field_names():
-    report = verify_theorem("t1", GridRange(m_min=1, m_max=1, n_max=3))
+    report = verify_claim("t1", GridRange(m_min=1, m_max=1, n_max=3))
     data = json.loads(report.to_json())
     assert set(data) == {"claim_id", "range", "cells", "all_pass", "counterexamples"}
     assert set(data["range"]) == {"m_min", "m_max", "n_max", "k_list", "b_list"}
@@ -198,9 +205,9 @@ def test_failing_cell_is_reported_not_raised():
 
 
 def test_conjecture_report_text_states_range_and_caveat():
-    report = verify_conjecture11(GridRange(m_min=0, m_max=0, n_max=4, k_list=(1,)))
+    report = verify_claim("c11", GridRange(m_min=0, m_max=0, n_max=4, k_list=(1,)))
     text = report.render_text()
     assert "n <= 4" in text
     assert "not proof" in text
-    theorem_text = verify_theorem("t1", GridRange(m_min=1, m_max=1, n_max=2)).render_text()
+    theorem_text = verify_claim("t1", GridRange(m_min=1, m_max=1, n_max=2)).render_text()
     assert "not proof" not in theorem_text
