@@ -2,8 +2,9 @@
 
 Scalars are plain Python ints (arbitrary precision), polynomials are
 dense integer-coefficient polynomials in ``t``, and series are truncated
-formal power series in ``x`` whose coefficients are polynomials.  Nothing in this module ever rounds: a division either
-succeeds exactly or raises :class:`~hankelshift.errors.NonExactDivision`.
+formal power series in ``x`` whose coefficients are polynomials.  Nothing
+in this module ever rounds: a division either succeeds exactly or raises
+:class:`~hankelshift.errors.NonExactDivision`.
 """
 
 from __future__ import annotations

@@ -13,14 +13,17 @@ immutable values: two ``Catalan()`` instances share one cache.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 from .errors import NonExactDivision
 from .ring import DEFAULT_SERIES_ORDER, Poly, Series, binomial
 
 
-# C_0, C_1, ... as far as any call has needed them.
+# C_0, C_1, ... as far as any call has needed them; the lock keeps two
+# threads from extending the list at once.
 _catalan_prefix = [1]
+_catalan_lock = threading.Lock()
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,11 +38,12 @@ def catalan_number(n: int) -> int:
     if n < 0:
         raise ValueError("catalan_number is defined for n >= 0")
     prefix = _catalan_prefix
-    for i in range(len(prefix), n + 1):
-        q, r = divmod(prefix[-1] * 2 * (2 * i - 1), i + 1)
-        if r:
-            raise NonExactDivision(f"catalan recurrence left a remainder at n={i}")
-        prefix.append(q)
+    with _catalan_lock:
+        for i in range(len(prefix), n + 1):
+            q, r = divmod(prefix[-1] * 2 * (2 * i - 1), i + 1)
+            if r:
+                raise NonExactDivision(f"catalan recurrence left a remainder at n={i}")
+            prefix.append(q)
     return prefix[n]
 
 
