@@ -28,6 +28,12 @@ COMMANDS = (
        for f in FORMATS]
     + [f"table --family narayana-b --shift -1 --shift-max 0 --n-max 4 --format {f}"
        for f in FORMATS]
+    # Polynomial determinants large enough for the packed-integer ring path.
+    + [
+        "det --family narayana-c --shift 4 --size 14 --format text",
+        "det --family narayana-b --shift -4 --size 14 --format json",
+        "table --family narayana-b --shift 1 --shift-max 2 --n-max 12 --format csv",
+    ]
     + [f"verify {c}" for c in CLAIMS]
     + [f"verify {c} --n-max 6 --format {f}" for c in CLAIMS for f in FORMATS]
     + [
