@@ -5,6 +5,22 @@ dense integer-coefficient polynomials in ``t``, and series are truncated
 formal power series in ``x`` whose coefficients are polynomials.  Nothing
 in this module ever rounds: a division either succeeds exactly or raises
 :class:`~hankelshift.errors.NonExactDivision`.
+
+Large polynomial products and exact quotients use Kronecker substitution:
+a polynomial is packed into one integer, its value at t = 2^W, with each
+coefficient in a signed slot of W = 8*nb bits, so that one big-int multiply
+or ``divmod`` does the work of the schoolbook loop.  A product's slots are
+sized from the operands' bit lengths so that every product coefficient
+provably fits, and its balanced (signed) digits are then exactly its
+coefficients.  A quotient is the integer quotient's balanced digits: a
+nonzero integer remainder already proves the division inexact, and a zero
+one is trusted only when the digit bound of :func:`_kronecker_quotient`
+shows that the digits times the divisor reproduce the dividend's slots;
+otherwise the schoolbook division decides.  Powers of t are stripped
+before packing, so that low zero coefficients take no slots.  Products and
+quotients whose shorter factor has fewer than :data:`KRONECKER_MIN_LEN`
+coefficients, every constant operand among them, stay on the schoolbook
+loops.
 """
 
 from __future__ import annotations
@@ -17,6 +33,14 @@ from .errors import NonExactDivision, NonUnitConstantTerm
 
 #: Default truncation length for generating series.
 DEFAULT_SERIES_ORDER = 64
+
+#: Fewest coefficients, powers of t stripped, that the shorter factor of a
+#: product (of a division: the quotient or the divisor) needs to be packed.
+#: Measured on the operands of Narayana determinants (Python 3.11), packing
+#: was 1.4-1.6x faster than the schoolbook loop at 16-20 coefficients and
+#: 2-3.6x faster from 32; with a factor of 1-6 coefficients it was up to 5x
+#: slower.
+KRONECKER_MIN_LEN = 16
 
 
 def binomial(n: int, k: int) -> int:
@@ -71,6 +95,96 @@ class _MinusInfinity:
 
 #: Singleton degree of the zero polynomial; never a number.
 MINUS_INFINITY = _MinusInfinity()
+
+
+def _valuation(coeffs: tuple[int, ...]) -> int:
+    """Exponent of the highest power of t dividing a nonzero polynomial."""
+    return next(i for i, c in enumerate(coeffs) if c)
+
+
+def _bits(coeffs: tuple[int, ...] | list[int]) -> int:
+    """Bit length of the largest coefficient magnitude."""
+    return max(max(coeffs), -min(coeffs)).bit_length()
+
+
+def _slot_tops(nb: int, count: int) -> int:
+    """The integer whose ``count`` slots of ``nb`` bytes each hold 2^(8*nb-1)."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs: tuple[int, ...], nb: int) -> int:
+    """sum(c * 2^(8*nb*i)); every c must lie in [-2^(8*nb-1), 2^(8*nb-1)).
+
+    The two's complement slots plus 2^(8*nb-1) each (an XOR of the top bit)
+    are the nonnegative digits of the packed value plus ``_slot_tops``.
+    """
+    tops = _slot_tops(nb, len(coeffs))
+    raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in coeffs])
+    return (int.from_bytes(raw, "little") ^ tops) - tops
+
+
+def _unpack(value: int, nb: int, count: int) -> list[int]:
+    """The balanced digits of ``value`` in ``count`` slots of ``nb`` bytes.
+
+    These are the unique d_i in [-2^(8*nb-1), 2^(8*nb-1)) with
+    value == sum(d_i * 2^(8*nb*i)); OverflowError if ``count`` slots cannot
+    hold such digits.
+    """
+    tops = _slot_tops(nb, count)
+    raw = ((value + tops) ^ tops).to_bytes(nb * count, "little")
+    return [int.from_bytes(raw[i:i + nb], "little", signed=True)
+            for i in range(0, nb * count, nb)]
+
+
+def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int] | None:
+    """Coefficients of a*b through one big-int product, or None when a factor
+    stripped of its power of t has fewer than KRONECKER_MIN_LEN coefficients.
+
+    Each product coefficient is a sum of min(len a, len b) terms below
+    2^(bits a + bits b), so it lies strictly inside a signed slot of
+    8*nb >= bits a + bits b + bitlen(min(len a, len b)) + 1 bits, and the
+    product's balanced digits are its coefficients.
+    """
+    va, vb = _valuation(a), _valuation(b)
+    a, b = a[va:], b[vb:]
+    if min(len(a), len(b)) < KRONECKER_MIN_LEN:
+        return None
+    nb = (_bits(a) + _bits(b) + min(len(a), len(b)).bit_length() + 8) // 8
+    return [0] * (va + vb) + _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
+
+
+def _kronecker_quotient(a: Poly, b: Poly) -> list[int] | None:
+    """Coefficients of the exact quotient a/b, or None to leave it to the schoolbook loop.
+
+    With a = t^va * a' and b = t^vb * b' (a', b' not divisible by t), b
+    divides a exactly when va >= vb and b' divides a', and then
+    a/b = t^(va-vb) * a'/b'.  Packing is a ring homomorphism Z[t] -> Z
+    (evaluation at 2^W), so a quotient a'/b' would divide the packed ints
+    exactly: a nonzero remainder raises NonExactDivision.  Otherwise the
+    quotient's balanced digits q are returned only if
+    bits q + bits b' + bitlen(min(len q, len b')) <= W - 2: then every
+    coefficient of q*b' fits a slot, so q*b' and a' are two balanced-digit
+    forms of the same packed integer and q*b' == a' exactly.  Slots cover
+    both operands with a byte of slack over bits a' + bitlen(len q), which
+    fits the quotients met in Bareiss and condensation steps.
+    """
+    ac, bc = a.coeffs, b.coeffs
+    va, vb = _valuation(ac), _valuation(bc)
+    ac, bc = ac[va:], bc[vb:]
+    qlen = len(ac) - len(bc) + 1
+    if va < vb or min(qlen, len(bc)) < KRONECKER_MIN_LEN:
+        return None
+    nb = (max(_bits(ac), _bits(bc)) + qlen.bit_length() + 16) // 8
+    quot, rem = divmod(_pack(ac, nb), _pack(bc, nb))
+    if rem:
+        raise NonExactDivision(f"({a}) is not divisible by ({b})")
+    try:
+        digits = _unpack(quot, nb, qlen)
+    except OverflowError:
+        return None
+    if _bits(digits) + _bits(bc) + min(qlen, len(bc)).bit_length() > 8 * nb - 2:
+        return None
+    return [0] * (va - vb) + digits
 
 
 class Poly:
@@ -184,6 +298,10 @@ class Poly:
             return Poly()
         if len(a) == 1 and len(b) == 1:
             return Poly((a[0] * b[0],))
+        if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
+            out = _kronecker_mul(a, b)
+            if out is not None:
+                return Poly(out)
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -220,6 +338,10 @@ class Poly:
         blen = len(other.coeffs)
         lead = other.coeffs[-1]
         qlen = len(rem) - blen + 1
+        if min(qlen, blen) >= KRONECKER_MIN_LEN:
+            quot = _kronecker_quotient(self, other)
+            if quot is not None:
+                return Poly(quot)
         quot = [0] * qlen
         for i in reversed(range(qlen)):
             c = rem[i + blen - 1]

@@ -1,7 +1,12 @@
 """Polynomial, series and binomial kernel tests."""
 
+import math
+from contextlib import contextmanager
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from hankelshift import ring
 
 from hankelshift import (
     MINUS_INFINITY,
@@ -82,6 +87,136 @@ def test_poly_mul_div_round_trip(a, b):
     if b.is_zero:
         return
     assert (a * b).exact_div(b) == a
+
+
+# -- Kronecker substitution against the schoolbook loops -------------------
+
+
+@contextmanager
+def crossover(min_len):
+    """Run with ring.KRONECKER_MIN_LEN set: 2 packs every operation without a
+    constant factor, math.inf packs none."""
+    saved = ring.KRONECKER_MIN_LEN
+    ring.KRONECKER_MIN_LEN = min_len
+    try:
+        yield
+    finally:
+        ring.KRONECKER_MIN_LEN = saved
+
+
+def slot_edges(nb):
+    """The extreme signed digits of an nb-byte slot and their neighbours."""
+    top = 1 << (8 * nb - 1)
+    return (-top, 1 - top, -1, 0, 1, top - 1)
+
+
+# Negative, zero, small, >= 2^200 and byte-boundary (+-2^(8j-1), +-(2^(8j-1)-1)) values.
+wide_ints = st.one_of(
+    small_ints,
+    st.just(0),
+    st.integers(2 ** 200, 2 ** 260).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.integers(1, 34).flatmap(lambda j: st.sampled_from(slot_edges(j))),
+)
+nonzero_wide = wide_ints.filter(bool)
+
+
+def dense_polys(min_len):
+    """Up to 20 low zero coefficients (a power of t), then min_len-40 drawn ones."""
+    return st.tuples(st.integers(0, 20), st.lists(wide_ints, min_size=min_len - 1, max_size=39),
+                     nonzero_wide).map(lambda t: Poly([0] * t[0] + t[1] + [t[2]]))
+
+
+# Lengths 1-40 fall on both sides of KRONECKER_MIN_LEN; long_polys are above it.
+wide_polys = dense_polys(1)
+long_polys = dense_polys(ring.KRONECKER_MIN_LEN)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda nb: st.tuples(st.just(nb), st.lists(
+        st.one_of(st.sampled_from(slot_edges(nb)),
+                  st.integers(-(1 << (8 * nb - 1)), (1 << (8 * nb - 1)) - 1)),
+        min_size=1, max_size=12))))
+def test_pack_unpack_round_trip_at_slot_edges(nb_digits):
+    nb, digits = nb_digits
+    packed = ring._pack(tuple(digits), nb)
+    assert packed == sum(d << (8 * nb * i) for i, d in enumerate(digits))
+    assert ring._unpack(packed, nb, len(digits)) == digits
+    # Just past the extremes: every slot at its lowest digit, or at its highest.
+    lowest = ring._pack((slot_edges(nb)[0],) * len(digits), nb)
+    for outside in (lowest - 1, -lowest):
+        with pytest.raises(OverflowError):
+            ring._unpack(outside, nb, len(digits))
+
+
+@settings(deadline=None)
+@given(st.one_of(wide_polys, long_polys), st.one_of(wide_polys, long_polys))
+def test_kronecker_product_matches_schoolbook(a, b):
+    with crossover(math.inf):
+        expected = a * b
+    with crossover(2):
+        assert a * b == expected
+    assert a * b == expected
+    packed = ring._kronecker_mul(a.coeffs, b.coeffs) if a and b else None
+    assert packed is None or packed == list(expected.coeffs)
+
+
+@settings(deadline=None)
+@given(st.one_of(wide_polys, long_polys), st.one_of(wide_polys, long_polys))
+def test_kronecker_quotient_matches_schoolbook(q, b):
+    with crossover(math.inf):
+        a = q * b
+        assert a.exact_div(b) == q
+    with crossover(2):
+        assert a.exact_div(b) == q
+    assert a.exact_div(b) == q
+
+
+@settings(deadline=None)
+@given(st.one_of(wide_polys, long_polys), long_polys, wide_polys)
+def test_kronecker_rejects_a_non_multiple(q, b, e):
+    # deg e < deg b, so e is a nonzero remainder of q*b + e modulo b; e keeps
+    # b's power of t, so that packing, not the valuation, has to find it.
+    vb = ring._valuation(b.coeffs)
+    e = Poly(((0,) * vb + e.coeffs)[:len(b.coeffs) - 1]) or Poly.monomial(min(vb, len(b.coeffs) - 2))
+    a = q * b + e
+    for min_len in (math.inf, 2, ring.KRONECKER_MIN_LEN):
+        with crossover(min_len), pytest.raises(NonExactDivision):
+            a.exact_div(b)
+
+
+def test_kronecker_quotient_slots_cover_a_divisor_wider_than_the_dividend():
+    # q = prod (1 - t^j) and b = prod (1 + t^j + ... + t^(99j)) over j = 1..5,
+    # so a = q*b = prod (1 - t^(100j)): b's coefficients reach 2^24, a's are +-1.
+    q, b, a = Poly.const(1), Poly.const(1), Poly.const(1)
+    for j in range(1, 6):
+        q = q * Poly.monomial(j, -1) + q
+        b = b * Poly([0 if i % j else 1 for i in range(99 * j + 1)])
+        a = a * Poly.monomial(100 * j, -1) + a
+    qlen = len(q.coeffs)
+    assert qlen >= ring.KRONECKER_MIN_LEN
+    # Slots sized from the dividend alone could not hold the divisor.
+    assert ring._bits(b.coeffs) > 8 * ((ring._bits(a.coeffs) + qlen.bit_length() + 16) // 8)
+    assert ring._kronecker_quotient(a, b) == list(q.coeffs)
+    assert a.exact_div(b) == q
+
+
+def test_kronecker_quotient_outside_the_digit_bound_falls_back_to_schoolbook():
+    n = 40
+    euler = Poly.const(1)
+    factorial = Poly.const(1)
+    for j in range(1, n + 1):
+        euler = euler * Poly.monomial(j, -1) + euler      # times (1 - t^j)
+        factorial = factorial * Poly((1,) * j)            # times (1 + ... + t^(j-1))
+    binom = Poly([binomial(n, i) * (-1) ** i for i in range(n + 1)])  # (1 - t)^n
+    # euler == binom * factorial, with far smaller coefficients than either factor,
+    # so neither quotient's digits pass the bound and the schoolbook loop decides.
+    for divisor, quotient in ((factorial, binom), (binom, factorial)):
+        assert min(len(quotient.coeffs), len(divisor.coeffs)) >= ring.KRONECKER_MIN_LEN
+        assert ring._kronecker_quotient(euler, divisor) is None
+        assert euler.exact_div(divisor) == quotient
+    with pytest.raises(NonExactDivision):
+        (euler + 1).exact_div(binom)
 
 
 @given(polys, polys)
