@@ -265,6 +265,10 @@ def _run_verify(args, parser) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Since 3.10.7 Python refuses to print ints of more than 4300 digits by
+    # default; terms and determinants can be longer, and printing them is the point.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -283,7 +287,13 @@ def main(argv: list[str] | None = None) -> int:
     except ExactComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        if args.out is None:
+            raise
+        print(f"hankelshift: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -1,6 +1,7 @@
 """Command line interface tests (run in process through main, or in a fresh interpreter)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -55,6 +56,25 @@ def test_cold_catalan_request_matches_warm_value():
     assert proc.returncode == EXIT_OK, proc.stderr
     warm = [catalan_number(n) for n in range(3001)][-1]
     assert proc.stdout == f"{warm}\n"
+
+
+@pytest.mark.parametrize("family, n, value", [
+    ("catalan", 8000, lambda: math.comb(16000, 8000) // 8001),
+    ("central-binomial", 7300, lambda: math.comb(14600, 7300)),
+])
+def test_gen_prints_terms_past_the_int_str_digit_limit(family, n, value):
+    # Over 4300 digits; a fresh interpreter starts with Python's default limit.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hankelshift.cli", "gen", "--family", family,
+         "--from", str(n), "--to", str(n)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stdout) > 4301
+    assert int(proc.stdout) == value()
 
 
 def test_gen_json_and_csv(capsys):
@@ -239,6 +259,20 @@ def test_output_to_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["all_pass"] is True
+
+
+@pytest.mark.parametrize("target, reason", [
+    (Path("missing-dir") / "x.txt", "No such file or directory"),
+    (Path("."), "Is a directory"),
+])
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys, target, reason):
+    path = tmp_path / target
+    code, out, err = run(capsys, "det", "--family", "catalan", "--shift", "3", "--size", "4",
+                         "--out", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.endswith(f"hankelshift: error: cannot write {path}: {reason}\n")
+    assert "Traceback" not in err
 
 
 def test_byte_identical_reruns(capsys):
