@@ -166,6 +166,7 @@ class Report:
         return "\n".join(lines)
 
 
+# A walk is given the grid resolve_grid returned, so its m range is already clamped.
 Walk = Callable[[GridRange], Iterator[tuple[Params, Poly, HankelSpec]]]
 
 
@@ -178,7 +179,7 @@ def _backward(families: Callable[[GridRange], list], reflect: bool = False) -> W
     """
     def walk(grid: GridRange):
         for b, family in families(grid):
-            for m in range(max(grid.m_min, 1), grid.m_max + 1):
+            for m in range(grid.m_min, grid.m_max + 1):
                 for n in range(grid.n_max + 1):
                     prediction = closed_forms.predict_backward(family, m, n)
                     if reflect and prediction.value != closed_forms.forward_catalan_det(m + 1, -n):
@@ -205,7 +206,7 @@ def _walk_c10(grid: GridRange):
     """
     for k, order, off in _arms(grid):
         family = ConvCatalan(order)
-        for m in range(max(grid.m_min, 0), grid.m_max + 1):
+        for m in range(grid.m_min, grid.m_max + 1):
             bound = m + off                    # zero below this size
             sign = sign_choose2(bound)
             for n in range(grid.n_max + 1):
@@ -252,7 +253,7 @@ def _walk_c12(grid: GridRange):
         period, step, units = _units(order, off)
         r = off % period
         scale = 1 if order % 2 == 0 else order
-        for m in range(max(grid.m_min, 0), min(k, grid.m_max) + 1):
+        for m in range(grid.m_min, min(k, grid.m_max) + 1):
             for q, a in enumerate(range(r, grid.n_max + 1, period)):
                 sign = -1 if (step * q + units[r]) & 1 else 1
                 expected = Poly.const(sign * (scale * (q + 1)) ** m)
@@ -302,6 +303,8 @@ class Claim:
     is_theorem: bool
     default: GridRange
     walk: Walk
+    # The grid axes among "k", "b" and "m" that the walk varies (n always is).
+    axes: str
     # Accepted k values as (lowest, highest or None); None when k is unused.
     k_domain: tuple[int, int | None] | None = None
 
@@ -311,29 +314,30 @@ _CONV = GridRange(m_min=0, m_max=3, n_max=15, k_list=(1, 2, 3, 4))
 CLAIMS: dict[str, Claim] = {
     "t1": Claim("backward Catalan determinants equal the reflected product formula",
                 True, GridRange(m_min=1, m_max=5, n_max=25),
-                _backward(lambda grid: [(None, Catalan())], reflect=True)),
+                _backward(lambda grid: [(None, Catalan())], reflect=True), "m"),
     "t6": Claim("backward M-number determinants are b-independent and equal the Catalan ones",
                 True, GridRange(m_min=1, m_max=4, n_max=15, b_list=(-2, -1, 0, 1, 2, 3)),
-                _backward(lambda grid: [(b, MNumbers(b)) for b in grid.b_list], reflect=True)),
+                _backward(lambda grid: [(b, MNumbers(b)) for b in grid.b_list], reflect=True),
+                "bm"),
     "t7": Claim("backward central-binomial determinants carry an extra factor 2^(n-m-1)",
                 True, GridRange(m_min=1, m_max=4, n_max=15),
-                _backward(lambda grid: [(None, CentralBinomial())])),
+                _backward(lambda grid: [(None, CentralBinomial())]), "m"),
     "t8": Claim("backward Narayana determinants equal signed t-power times forward values",
                 True, GridRange(m_min=1, m_max=3, n_max=10),
-                _backward(lambda grid: [(None, NarayanaC())])),
+                _backward(lambda grid: [(None, NarayanaC())]), "m"),
     "t9": Claim("backward type-B Narayana determinants scale the same way by (2t)^(n-m-1)",
                 True, GridRange(m_min=1, m_max=3, n_max=10),
-                _backward(lambda grid: [(None, NarayanaB())])),
+                _backward(lambda grid: [(None, NarayanaB())]), "m"),
     "c10": Claim("backward convolution-power determinants mirror forward ones (conjecture)",
-                 False, _CONV, _walk_c10, k_domain=(1, None)),
+                 False, _CONV, _walk_c10, "km", k_domain=(1, None)),
     "c11": Claim("diagonal convolution-power determinants are unit/zero periodic (conjecture)",
-                 False, _CONV, _walk_c11, k_domain=(1, None)),
+                 False, replace(_CONV, m_max=0), _walk_c11, "k", k_domain=(1, None)),
     "c12": Claim("near-diagonal convolution-power determinants grow like (n+1)^m (conjecture)",
-                 False, _CONV, _walk_c12, k_domain=(1, None)),
+                 False, _CONV, _walk_c12, "km", k_domain=(1, None)),
     "patterns": Claim(
         "order-k convolution determinants at shift 0 follow modular patterns (conjecture)",
         False, GridRange(m_min=0, m_max=0, n_max=21, k_list=tuple(_PATTERNS)),
-        _walk_patterns, k_domain=(min(_PATTERNS), max(_PATTERNS))),
+        _walk_patterns, "k", k_domain=(min(_PATTERNS), max(_PATTERNS))),
 }
 
 ALL_CLAIMS = tuple(CLAIMS)
@@ -343,15 +347,25 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
     """The grid :func:`verify_claim` walks and echoes for this request.
 
     No grid means the claim's default grid, an empty b list its default b
-    values.  Raises ValueError for an unknown claim or a k outside the
-    claim's domain, before any determinant is computed.
+    values.  Axes the claim does not walk are cleared (m to [0, 0]), and m
+    starts no lower than the walk does: 1 for the backward theorems, else 0.
+    Raises ValueError for an unknown claim or a k outside the claim's
+    domain, before any determinant is computed.
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
     claim = CLAIMS[claim_id]
     grid = claim.default if grid is None else grid
-    if not grid.b_list:
+    if "b" not in claim.axes:
+        grid = replace(grid, b_list=())
+    elif not grid.b_list:
         grid = replace(grid, b_list=claim.default.b_list)
+    if "k" not in claim.axes:
+        grid = replace(grid, k_list=())
+    if "m" not in claim.axes:
+        grid = replace(grid, m_min=0, m_max=0)
+    else:
+        grid = replace(grid, m_min=max(grid.m_min, 1 if claim.is_theorem else 0))
     if claim.k_domain is not None:
         low, high = claim.k_domain
         for k in grid.k_list:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hankelshift import Cell, GridRange, Poly, Report, hankel, verify_claim
-from hankelshift.verify import CLAIMS
+from hankelshift.verify import CLAIMS, resolve_grid
 
 from anchors import DET_CONV
 
@@ -211,3 +211,28 @@ def test_conjecture_report_text_states_range_and_caveat():
     assert "not proof" in text
     theorem_text = verify_claim("t1", GridRange(m_min=1, m_max=1, n_max=2)).render_text()
     assert "not proof" not in theorem_text
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_report_echoes_only_the_axes_the_claim_walks(claim):
+    report = verify_claim(claim, GridRange(m_min=-2, m_max=1, n_max=3,
+                                           k_list=(3,), b_list=(1, 2)))
+    axes = CLAIMS[claim].axes
+    assert report.range.k_list == ((3,) if "k" in axes else ())
+    assert report.range.b_list == ((1, 2) if "b" in axes else ())
+    low = 1 if CLAIMS[claim].is_theorem else 0
+    assert (report.range.m_min, report.range.m_max) == ((low, 1) if "m" in axes else (0, 0))
+    walked_m = {cell.param("m") for cell in report.cells}
+    assert walked_m <= set(range(report.range.m_min, report.range.m_max + 1))
+    assert {cell.param("b") for cell in report.cells} - {None} <= set(report.range.b_list)
+    # A conjecture cell's k is the convolution order drawn from the grid's k.
+    assert any(cell.param("k") is not None for cell in report.cells) == ("k" in axes)
+
+
+def test_axis_echo_examples():
+    t1 = verify_claim("t1", GridRange(m_min=0, m_max=1, n_max=2, k_list=(0,), b_list=(1, 2)))
+    assert "range: m in [1, 1], n <= 2\n" in t1.render_text()
+    c11 = verify_claim("c11", GridRange(m_min=2, m_max=3, n_max=2, k_list=(1,)))
+    assert "range: m in [0, 0], n <= 2, k in [1]\n" in c11.render_text()
+    assert {cell.param("m") for cell in c11.cells} == {0}
+    assert resolve_grid("c11") == CLAIMS["c11"].default
