@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flags(table)
 
     ver = sub.add_parser("verify", help="check a claim over a parameter grid")
-    ver.add_argument("claim", choices=verify.ALL_CLAIMS)
+    ver.add_argument("claim", choices=tuple(verify.CLAIMS))
     ver.add_argument("--m-min", type=int, default=None)
     ver.add_argument("--m-max", type=int, default=None)
     ver.add_argument("--n-max", type=int, default=None)
@@ -265,10 +265,6 @@ def _run_verify(args, parser) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Since 3.10.7 Python refuses to print ints of more than 4300 digits by
-    # default; terms and determinants can be longer, and printing them is the point.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,10 +23,9 @@ from .errors import (
     CondensationUnavailable,
     DimensionTooLarge,
     EngineDisagreement,
-    IdentityViolation,
     NonExactDivision,
 )
-from .ring import Poly, Series
+from .ring import Poly
 from .sequences import SequenceFamily
 
 COFACTOR = "cofactor"
@@ -264,47 +263,3 @@ def cross_check(spec: HankelSpec) -> DetResult:
         raise EngineDisagreement(f"engines disagree on {spec}: {shown}", results)
     engine = CONDENSATION if cond is not None else BAREISS
     return DetResult(results[engine], engine, spec)
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = a.n
-    rows = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = Poly()
-            for j in range(n):
-                x = a.entry(i, j)
-                if not x.is_zero:
-                    acc = acc + x * b.entry(j, k)
-            row.append(acc)
-        rows.append(row)
-    return Matrix(rows)
-
-
-def backshift_toeplitz_product(a: Series, b: Series, n: int) -> Matrix:
-    """Multiply the full backward-shift matrix of ``a`` by the mirrored band
-    matrix of ``b`` and check the result against their product series.
-
-    With zero extension for negative indices, (a(i+j-n)) * (b(n-j-k)) must
-    equal the lower triangular Toeplitz matrix (c(i-k)) with c = a*b.  The
-    product matrix is returned; a mismatch means the zero-extension
-    bookkeeping is broken somewhere and raises IdentityViolation.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    c = a * b
-    if c.order < n + 1:
-        raise ValueError("both series must be computed to order >= n+1")
-
-    def coeff(series: Series, i: int) -> Poly:
-        return series[i] if 0 <= i < series.order else Poly()
-
-    lhs = Matrix([[coeff(a, i + j - n) for j in range(n + 1)] for i in range(n + 1)])
-    rhs = Matrix([[coeff(b, n - j - k) for k in range(n + 1)] for j in range(n + 1)])
-    product = _matmul(lhs, rhs)
-    toeplitz = Matrix([[coeff(c, i - k) if i >= k else Poly() for k in range(n + 1)]
-                       for i in range(n + 1)])
-    if product != toeplitz:
-        raise IdentityViolation("shift/band product is not the Toeplitz matrix of a*b")
-    return product

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NonExactDivision, NonUnitConstantTerm
 
@@ -65,36 +65,6 @@ def choose2_parity(n: int) -> int:
 def sign_choose2(n: int) -> int:
     """(-1)**C(n, 2), computed from n mod 4 instead of the exponent itself."""
     return -1 if choose2_parity(n) else 1
-
-
-class _MinusInfinity:
-    """Degree of the zero polynomial: compares below every integer."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return other is not MINUS_INFINITY
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is MINUS_INFINITY
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "-infinity"
-
-
-#: Singleton degree of the zero polynomial; never a number.
-MINUS_INFINITY = _MinusInfinity()
 
 
 def _valuation(coeffs: tuple[int, ...]) -> int:
@@ -187,6 +157,30 @@ def _kronecker_quotient(a: Poly, b: Poly) -> list[int] | None:
     return [0] * (va - vb) + digits
 
 
+def _decimal(n: int) -> str:
+    """Decimal digits of n >= 0, also past the int-to-str digit limit.
+
+    Since 3.10.7 ``str()`` refuses ints of more than 4300 digits by default.
+    Such an n is written as its halves n = hi * 10^k + lo instead, so the
+    interpreter-wide limit is never changed.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits: log10(2) ~ 0.301
+        hi, lo = divmod(n, 10 ** k)
+        return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _from_decimal(digits: str) -> int:
+    """The int a string of decimal digits denotes, of any length (see _decimal)."""
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return _from_decimal(digits[:-k]) * 10 ** k + _from_decimal(digits[-k:])
+
+
 class Poly:
     """Dense polynomial in ``t`` over the integers.
 
@@ -234,21 +228,8 @@ class Poly:
         """Coefficient of t^0 (the whole value for constant polynomials)."""
         return self.coeffs[0] if self.coeffs else 0
 
-    @property
-    def degree(self):
-        """Degree as an int, or the MINUS_INFINITY sentinel for zero."""
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
-
-    def coefficient(self, degree: int) -> int:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -392,10 +373,10 @@ class Poly:
             sign = "-" if c < 0 else ("+" if parts else "")
             a = abs(c)
             if d == 0:
-                body = str(a)
+                body = _decimal(a)
             else:
                 var = "t" if d == 1 else f"t^{d}"
-                body = var if a == 1 else f"{a}*{var}"
+                body = var if a == 1 else f"{_decimal(a)}*{var}"
             parts.append(sign + body)
         return "".join(parts)
 
@@ -419,7 +400,7 @@ class Poly:
             sign, num, var, exp = m.groups()
             if num is None and var is None:
                 raise ValueError(f"cannot parse polynomial {text!r} at offset {pos}")
-            c = int(num) if num is not None else 1
+            c = _from_decimal(num) if num is not None else 1
             if sign == "-":
                 c = -c
             d = 0 if var is None else (1 if exp is None else int(exp))

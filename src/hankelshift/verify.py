@@ -340,17 +340,15 @@ CLAIMS: dict[str, Claim] = {
         _walk_patterns, "k", k_domain=(min(_PATTERNS), max(_PATTERNS))),
 }
 
-ALL_CLAIMS = tuple(CLAIMS)
-
 
 def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
     """The grid :func:`verify_claim` walks and echoes for this request.
 
-    No grid means the claim's default grid, an empty b list its default b
-    values.  Axes the claim does not walk are cleared (m to [0, 0]), and m
-    starts no lower than the walk does: 1 for the backward theorems, else 0.
-    Raises ValueError for an unknown claim or a k outside the claim's
-    domain, before any determinant is computed.
+    No grid means the claim's default grid, an empty k or b list its default
+    k or b values.  Axes the claim does not walk are cleared (m to [0, 0]),
+    and m starts no lower than the walk does: 1 for the backward theorems,
+    else 0.  Raises ValueError for an unknown claim, a k outside the claim's
+    domain or an empty m or n range, before any determinant is computed.
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
@@ -362,6 +360,8 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
         grid = replace(grid, b_list=claim.default.b_list)
     if "k" not in claim.axes:
         grid = replace(grid, k_list=())
+    elif not grid.k_list:
+        grid = replace(grid, k_list=claim.default.k_list)
     if "m" not in claim.axes:
         grid = replace(grid, m_min=0, m_max=0)
     else:
@@ -372,6 +372,9 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
             if k < low or (high is not None and k > high):
                 allowed = f"k >= {low}" if high is None else f"k in {low}..{high}"
                 raise ValueError(f"claim {claim_id} takes {allowed}, got k={k}")
+    if grid.m_min > grid.m_max or grid.n_max < 0:
+        raise ValueError(f"claim {claim_id} has an empty grid: "
+                         f"m in [{grid.m_min}, {grid.m_max}], n <= {grid.n_max}")
     return grid
 
 

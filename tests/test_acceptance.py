@@ -20,18 +20,16 @@ from hankelshift import (
     NarayanaC,
     Poly,
     Series,
-    binomial,
-    catalan_convolution,
-    catalan_number,
     cross_check,
     det,
     forward_catalan_det,
     narayana_forward_det,
     narayana_forward_det_recursive,
     predict_backward,
-    sign_choose2,
     verify_claim,
 )
+from hankelshift.ring import binomial, sign_choose2
+from hankelshift.sequences import catalan_convolution, catalan_number
 
 from anchors import DET_CONV, DET_NARAYANA_B_BWD, DET_NARAYANA_BWD
 

@@ -18,6 +18,7 @@ from hankelshift.cli import (
     main,
 )
 from hankelshift.sequences import catalan_number
+from hankelshift.verify import CLAIMS
 
 
 def run(capsys, *argv):
@@ -74,7 +75,26 @@ def test_gen_prints_terms_past_the_int_str_digit_limit(family, n, value):
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stdout) > 4301
-    assert int(proc.stdout) == value()
+    # int() of the whole line would hit this interpreter's own limit; read 1000-digit chunks.
+    digits, parsed = proc.stdout.strip(), 0
+    for i in range(0, len(digits), 1000):
+        parsed = parsed * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    assert parsed == value()
+
+
+def test_main_leaves_the_int_str_digit_limit_alone(capsys):
+    before = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "gen", "--family", "catalan", "--from", "0", "--to", "2")
+    assert (code, out) == (EXIT_OK, "1 1 2\n")
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_integer_argument_past_the_int_str_digit_limit_is_usage_error(capsys):
+    code, out, err = run(capsys, "det", "--family", "catalan", "--shift", "9" * 5000,
+                         "--size", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "invalid int value" in err
 
 
 def test_gen_json_and_csv(capsys):
@@ -235,10 +255,36 @@ def test_verify_empty_b_list_echoes_walked_default(capsys):
     assert {cell["params"]["b"] for cell in data["cells"]} == set(data["range"]["b_list"])
 
 
+@pytest.mark.parametrize("claim", ["c10", "c11", "c12", "patterns"])
+def test_verify_empty_k_list_echoes_walked_default(claim, capsys):
+    code, out, _ = run(capsys, "verify", claim, "--k=", "--n-max", "3")
+    assert code == EXIT_OK
+    k_list = list(CLAIMS[claim].default.k_list)
+    assert f", k in {k_list}\n" in out
+    _, csv_out, _ = run(capsys, "verify", claim, "--k=", "--n-max", "3", "--format", "csv")
+    _, default_out, _ = run(capsys, "verify", claim, "--n-max", "3", "--format", "csv")
+    assert csv_out == default_out
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (("t1", "--m-min", "4", "--m-max", "2"), "m in [4, 2], n <= 25"),
+    (("t1", "--m-max", "0"), "m in [1, 0], n <= 25"),
+    (("c12", "--m-min", "3", "--m-max", "1"), "m in [3, 1], n <= 15"),
+    (("t1", "--n-max", "-1"), "m in [1, 5], n <= -1"),
+    (("patterns", "--n-max", "-2"), "m in [0, 0], n <= -2"),
+])
+def test_verify_empty_grid_is_usage_error(argv, shown, capsys):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"hankelshift: error: claim {argv[0]} has an empty grid: {shown}\n" in err
+
+
 def test_exit_code_mapping_for_failures(monkeypatch, capsys):
     # engineered failing reports: exit 3 for proven claims, 4 for conjectures
-    from hankelshift import Cell, GridRange, Poly, Report
+    from hankelshift import GridRange, Poly, Report
     from hankelshift import cli as cli_mod
+    from hankelshift.verify import Cell
 
     def fake_verify_claim(claim_id, grid=None):
         bad = Cell((("m", 1), ("n", 1)), Poly.const(1), Poly.const(2))

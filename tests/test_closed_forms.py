@@ -11,16 +11,16 @@ from hankelshift import (
     NarayanaB,
     NarayanaC,
     Poly,
-    UnsupportedFamily,
-    catalan_number,
     det,
     forward_catalan_det,
     narayana_forward_det,
     narayana_forward_det_recursive,
     predict_backward,
     reflection_check,
-    sign_choose2,
 )
+from hankelshift.errors import UnsupportedFamily
+from hankelshift.ring import sign_choose2
+from hankelshift.sequences import catalan_number
 
 from anchors import DET_NARAYANA_FWD
 

@@ -5,19 +5,14 @@ import random
 import pytest
 
 from hankelshift import (
-    BAREISS,
-    CONDENSATION,
     Catalan,
     CentralBinomial,
     ConvCatalan,
-    DimensionTooLarge,
     HankelSpec,
     MNumbers,
-    Matrix,
     NarayanaB,
     NarayanaC,
     Poly,
-    backshift_toeplitz_product,
     build,
     cross_check,
     det,
@@ -25,9 +20,10 @@ from hankelshift import (
     det_cofactor,
     det_condensation,
     forward_catalan_det,
-    sign_choose2,
 )
-from hankelshift.hankel import _bareiss_int, _bareiss_poly
+from hankelshift.errors import DimensionTooLarge
+from hankelshift.hankel import BAREISS, CONDENSATION, Matrix, _bareiss_int, _bareiss_poly
+from hankelshift.ring import sign_choose2
 
 from anchors import DET_CATALAN_BWD, DET_CATALAN_FWD, DET_NARAYANA_BWD
 
@@ -144,7 +140,7 @@ def test_engine_agreement_grid():
 
 
 def test_cross_check_raises_with_all_engine_outputs(monkeypatch):
-    from hankelshift import EngineDisagreement
+    from hankelshift.errors import EngineDisagreement
     from hankelshift import hankel as hankel_mod
 
     monkeypatch.setattr(hankel_mod, "det_bareiss", lambda m: Poly.const(999))
@@ -203,41 +199,3 @@ def test_ladder_recurrence_inside_valid_range():
             rhs = v(k - 1, n + k - 1) * v(k + 1, n + k - 1) - v(k, n + k - 1) ** 2
             assert lhs == rhs, (k, n)
 
-
-def test_backshift_toeplitz_product_identity_band():
-    cat = Catalan().series(8)
-    product = backshift_toeplitz_product(cat, cat.reciprocal(), 3)
-    expected = Matrix(
-        [[Poly.const(1 if i == k else 0) for k in range(4)] for i in range(4)]
-    )
-    assert product == expected
-
-
-def test_backshift_toeplitz_product_catalan_square():
-    cat = Catalan().series(8)
-    product = backshift_toeplitz_product(cat, cat, 2)
-    for i in range(3):
-        for k in range(i + 1):
-            assert product.entry(i, k) == [1, 2, 5][i - k]
-        for k in range(i + 1, 3):
-            assert product.entry(i, k) == 0
-
-
-def test_backshift_toeplitz_product_random_pair():
-    rng = random.Random(11)
-    from hankelshift import Series
-
-    a = Series([rng.randint(-4, 4) for _ in range(8)], order=8)
-    b = Series([rng.randint(-4, 4) for _ in range(8)], order=8)
-    product = backshift_toeplitz_product(a, b, 5)
-    c = a * b
-    for i in range(6):
-        for k in range(6):
-            want = c[i - k] if i >= k else Poly()
-            assert product.entry(i, k) == want
-
-
-def test_backshift_toeplitz_product_needs_enough_order():
-    cat = Catalan().series(4)
-    with pytest.raises(ValueError):
-        backshift_toeplitz_product(cat, cat, 4)

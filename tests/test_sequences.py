@@ -11,9 +11,9 @@ from hankelshift import (
     NarayanaC,
     Poly,
     Series,
-    binomial,
-    catalan_number,
 )
+from hankelshift.ring import binomial
+from hankelshift.sequences import catalan_number
 
 from anchors import CATALAN, CENTRAL_BINOMIAL, CONV_POWERS, NARAYANA
 

@@ -1,11 +1,15 @@
 """Report structure, claim verifiers and serialization round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hankelshift import Cell, GridRange, Poly, Report, hankel, verify_claim
-from hankelshift.verify import CLAIMS, resolve_grid
+from hankelshift import GridRange, Poly, Report, hankel, verify_claim
+from hankelshift.verify import CLAIMS, Cell, resolve_grid
 
 from anchors import DET_CONV
 
@@ -138,15 +142,42 @@ def test_modular_patterns_rejects_unknown_order():
         verify_claim("patterns", GridRange(n_max=21, k_list=(8,)))
 
 
-@pytest.mark.parametrize("claim, k_list", [("patterns", (8,)), ("patterns", (3, 2)),
-                                           ("c10", (0,)), ("c11", (2, -1)), ("c12", (0,))])
-def test_k_outside_claim_domain_raises_before_any_determinant(claim, k_list, monkeypatch):
-    def no_det(spec, *args, **kwargs):
+@pytest.fixture
+def no_det(monkeypatch):
+    def det(spec, *args, **kwargs):
         raise AssertionError("a determinant ran before the grid was checked")
 
-    monkeypatch.setattr(hankel, "det", no_det)
+    monkeypatch.setattr(hankel, "det", det)
+
+
+@pytest.mark.parametrize("claim, k_list", [("patterns", (8,)), ("patterns", (3, 2)),
+                                           ("c10", (0,)), ("c11", (2, -1)), ("c12", (0,))])
+def test_k_outside_claim_domain_raises_before_any_determinant(claim, k_list, no_det):
     with pytest.raises(ValueError, match=f"claim {claim} takes k"):
         verify_claim(claim, GridRange(n_max=4, k_list=k_list))
+
+
+@pytest.mark.parametrize("claim, grid", [
+    ("t1", GridRange(m_min=4, m_max=2, n_max=3)),
+    ("t7", GridRange(m_min=0, m_max=0, n_max=3)),  # the theorems walk m from 1
+    ("c10", GridRange(m_min=2, m_max=1, n_max=3, k_list=(1,))),
+    ("t6", GridRange(m_min=1, m_max=2, n_max=-1)),
+    ("c11", GridRange(n_max=-1, k_list=(1,))),
+    ("patterns", GridRange(n_max=-3)),
+])
+def test_empty_m_or_n_range_raises_before_any_determinant(claim, grid, no_det):
+    with pytest.raises(ValueError, match=f"claim {claim} has an empty grid"):
+        verify_claim(claim, grid)
+
+
+@pytest.mark.parametrize("claim", ["c10", "c11", "c12", "patterns"])
+def test_empty_k_list_reports_the_default_k_values_it_walks(claim):
+    report = verify_claim(claim, GridRange(m_min=0, m_max=1, n_max=3))
+    assert report.range.k_list == CLAIMS[claim].default.k_list
+    assert report == verify_claim(claim, report.range)
+    assert f"k in {list(report.range.k_list)}" in report.render_text()
+    if claim == "patterns":
+        assert {c.param("k") for c in report.cells} == set(report.range.k_list)
 
 
 def test_empty_b_list_reports_the_default_b_values_it_walks():
@@ -179,6 +210,27 @@ def test_report_json_round_trip():
     assert clone == report
     assert clone.all_pass == report.all_pass
     assert clone.counterexamples == report.counterexamples
+
+
+def test_report_json_round_trips_values_past_the_int_str_digit_limit():
+    # A fresh interpreter starts with Python's default 4300-digit limit,
+    # whatever earlier tests in this process did.
+    script = """
+import sys
+from hankelshift import GridRange, Poly, Report
+from hankelshift.verify import Cell
+big = Poly((-(3 ** 20000), 0, 7 ** 9000 + 1))
+report = Report("t8", GridRange(m_min=1, m_max=1, n_max=1),
+                (Cell((("m", 1), ("n", 1)), big, big + 1),))
+assert Report.from_json(report.to_json()) == report
+assert "expected " + str(big) in report.render_text()
+assert sys.get_int_max_str_digits() == 4300
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_report_schema_field_names():
