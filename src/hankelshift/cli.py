@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields, replace
 
 from . import hankel, verify
 from .errors import ExactComputationError
@@ -27,14 +28,15 @@ from .sequences import (
     SequenceFamily,
 )
 
-FAMILY_NAMES = (
-    "catalan",
-    "central-binomial",
-    "m-numbers",
-    "narayana-c",
-    "narayana-b",
-    "conv",
-)
+# CLI family name -> constructor from the parsed flags, in --help order.
+FAMILIES = {
+    "catalan": lambda args: Catalan(),
+    "central-binomial": lambda args: CentralBinomial(),
+    "m-numbers": lambda args: MNumbers(args.b),
+    "narayana-c": lambda args: NarayanaC(),
+    "narayana-b": lambda args: NarayanaB(),
+    "conv": lambda args: ConvCatalan(args.k),
+}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -56,70 +58,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Hankel determinants of shifted Catalan-type sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    gen = sub.add_parser("gen", help="emit sequence terms over an index range")
+    det = sub.add_parser("det", help="one exact Hankel determinant")
+    table = sub.add_parser("table", help="grid of determinants over shifts and sizes")
+    ver = sub.add_parser("verify", help="check a claim over a parameter grid")
 
-    def add_family_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", required=True, choices=FAMILY_NAMES)
+    for p in (gen, det, table):
+        p.add_argument("--family", required=True, choices=tuple(FAMILIES))
         p.add_argument("--b", type=int, default=0,
                        help="integer parameter for --family m-numbers (default 0)")
         p.add_argument("--k", type=int, default=None,
                        help="convolution order for --family conv")
 
-    def add_output_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
-    gen = sub.add_parser("gen", help="emit sequence terms over an index range")
-    add_family_flags(gen)
     gen.add_argument("--from", dest="start", type=int, required=True,
                      help="first index (may be negative; negative terms are 0)")
     gen.add_argument("--to", dest="stop", type=int, required=True, help="last index, inclusive")
-    add_output_flags(gen)
 
-    det = sub.add_parser("det", help="one exact Hankel determinant")
-    add_family_flags(det)
     det.add_argument("--shift", type=int, required=True)
     det.add_argument("--size", type=int, required=True)
     det.add_argument("--engine", choices=(hankel.AUTO,) + hankel.ENGINES, default=hankel.AUTO)
-    add_output_flags(det)
 
-    table = sub.add_parser("table", help="grid of determinants over shifts and sizes")
-    add_family_flags(table)
     table.add_argument("--shift", type=int, required=True, help="smallest shift")
     table.add_argument("--shift-max", type=int, default=None,
                        help="largest shift (default: same as --shift)")
     table.add_argument("--n-max", type=int, required=True,
                        help="largest size, inclusive; negative means an empty grid")
-    add_output_flags(table)
 
-    ver = sub.add_parser("verify", help="check a claim over a parameter grid")
+    # Dests are the GridRange field names, so _run_verify can replace() them in.
     ver.add_argument("claim", choices=tuple(verify.CLAIMS))
     ver.add_argument("--m-min", type=int, default=None)
     ver.add_argument("--m-max", type=int, default=None)
     ver.add_argument("--n-max", type=int, default=None)
-    ver.add_argument("--k", type=_int_list, default=None,
+    ver.add_argument("--k", dest="k_list", metavar="K", type=_int_list, default=None,
                      help="comma-separated convolution parameters, e.g. --k 1,2,3")
-    ver.add_argument("--b", type=_int_list, default=None,
+    ver.add_argument("--b", dest="b_list", metavar="B", type=_int_list, default=None,
                      help="comma-separated b values, e.g. --b=-2,-1,0,1")
-    add_output_flags(ver)
 
+    for p, run in ((gen, _run_gen), (det, _run_det), (table, _run_table), (ver, _run_verify)):
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+        p.set_defaults(run=run, parser=p)
     return parser
 
 
-def make_family(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SequenceFamily:
-    name = args.family
-    if name == "catalan":
-        return Catalan()
-    if name == "central-binomial":
-        return CentralBinomial()
-    if name == "m-numbers":
-        return MNumbers(args.b)
-    if name == "narayana-c":
-        return NarayanaC()
-    if name == "narayana-b":
-        return NarayanaB()
-    if args.k is None or args.k < 1:
-        parser.error("--family conv requires --k with a positive integer")
-    return ConvCatalan(args.k)
+def make_family(args: argparse.Namespace) -> SequenceFamily:
+    if args.family == "conv" and (args.k is None or args.k < 1):
+        args.parser.error("--family conv requires --k with a positive integer")
+    return FAMILIES[args.family](args)
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -129,18 +114,10 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _run_gen(args, parser) -> tuple[str, int]:
+def _run_gen(args) -> tuple[str, int]:
     if args.start > args.stop:
-        parser.error("--from must not exceed --to")
-    family = make_family(args, parser)
+        args.parser.error("--from must not exceed --to")
+    family = make_family(args)
     indices = range(args.start, args.stop + 1)
     terms = [family.term(n) for n in indices]
     if args.format == "text":
@@ -157,10 +134,10 @@ def _run_gen(args, parser) -> tuple[str, int]:
     return _csv_text(rows), EXIT_OK
 
 
-def _run_det(args, parser) -> tuple[str, int]:
+def _run_det(args) -> tuple[str, int]:
     if args.size < 0:
-        parser.error("--size must be >= 0")
-    family = make_family(args, parser)
+        args.parser.error("--size must be >= 0")
+    family = make_family(args)
     result = hankel.det(hankel.HankelSpec(family, args.shift, args.size), engine=args.engine)
     print(
         f"# family={family.label} shift={args.shift} size={args.size} engine={result.engine}",
@@ -184,11 +161,11 @@ def _run_det(args, parser) -> tuple[str, int]:
     return _csv_text(rows), EXIT_OK
 
 
-def _run_table(args, parser) -> tuple[str, int]:
+def _run_table(args) -> tuple[str, int]:
     shift_max = args.shift_max if args.shift_max is not None else args.shift
     if shift_max < args.shift:
-        parser.error("--shift-max must not be below --shift")
-    family = make_family(args, parser)
+        args.parser.error("--shift-max must not be below --shift")
+    family = make_family(args)
     sizes = range(args.n_max + 1)
     shifts = range(args.shift, shift_max + 1)
     grid = {
@@ -212,21 +189,6 @@ def _run_table(args, parser) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _grid_from_flags(args, parser) -> verify.GridRange:
-    base = verify.CLAIMS[args.claim].default
-    grid = verify.GridRange(
-        m_min=args.m_min if args.m_min is not None else base.m_min,
-        m_max=args.m_max if args.m_max is not None else base.m_max,
-        n_max=args.n_max if args.n_max is not None else base.n_max,
-        k_list=args.k if args.k is not None else base.k_list,
-        b_list=args.b if args.b is not None else base.b_list,
-    )
-    try:
-        return verify.resolve_grid(args.claim, grid)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _report_csv(report: verify.Report) -> str:
     header = ["k", "b", "m", "n", "expected", "actual", "pass"]
     rows = [header]
@@ -246,8 +208,13 @@ def _report_csv(report: verify.Report) -> str:
     return _csv_text(rows)
 
 
-def _run_verify(args, parser) -> tuple[str, int]:
-    grid = _grid_from_flags(args, parser)
+def _run_verify(args) -> tuple[str, int]:
+    given = {f.name: getattr(args, f.name) for f in fields(verify.GridRange)
+             if getattr(args, f.name) is not None}
+    try:
+        grid = verify.resolve_grid(args.claim, replace(verify.CLAIMS[args.claim].default, **given))
+    except ValueError as exc:
+        args.parser.error(str(exc))
     report = verify.verify_claim(args.claim, grid)
     if args.format == "json":
         text = report.to_json() + "\n"
@@ -265,29 +232,21 @@ def _run_verify(args, parser) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    runners = {
-        "gen": _run_gen,
-        "det": _run_det,
-        "table": _run_table,
-        "verify": _run_verify,
-    }
-    try:
-        text, code = runners[args.command](args, parser)
-    except SystemExit as exc:  # parser.error() inside a runner
+        args = build_parser().parse_args(argv)
+        text, code = args.run(args)
+    except SystemExit as exc:  # argparse, or args.parser.error() inside a runner
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ExactComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if args.out is None:
+        sys.stdout.write(text)
+        return code
     try:
-        _emit(text, args.out)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     except OSError as exc:
-        if args.out is None:
-            raise
         print(f"hankelshift: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

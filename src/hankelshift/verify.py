@@ -348,7 +348,9 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
     k or b values.  Axes the claim does not walk are cleared (m to [0, 0]),
     and m starts no lower than the walk does: 1 for the backward theorems,
     else 0.  Raises ValueError for an unknown claim, a k outside the claim's
-    domain or an empty m or n range, before any determinant is computed.
+    domain or a grid whose walk yields no cell (an empty m or n range, or an
+    m_min above every k for c12, which walks m <= k), before any determinant
+    is computed: each walk's first cell comes from a formula.
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
@@ -372,7 +374,7 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
             if k < low or (high is not None and k > high):
                 allowed = f"k >= {low}" if high is None else f"k in {low}..{high}"
                 raise ValueError(f"claim {claim_id} takes {allowed}, got k={k}")
-    if grid.m_min > grid.m_max or grid.n_max < 0:
+    if next(claim.walk(grid), None) is None:
         raise ValueError(f"claim {claim_id} has an empty grid: "
                          f"m in [{grid.m_min}, {grid.m_max}], n <= {grid.n_max}")
     return grid

@@ -1,5 +1,7 @@
 """Command line interface tests (run in process through main, or in a fresh interpreter)."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,13 +10,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hankelshift import hankel
 from hankelshift.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_THEOREM_FAILURE,
     EXIT_USAGE,
+    FAMILIES,
     main,
 )
 from hankelshift.sequences import catalan_number
@@ -240,7 +245,7 @@ def test_verify_k_outside_claim_domain_is_usage_error(argv, capsys):
     code, out, err = run(capsys, "verify", *argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert f"hankelshift: error: claim {argv[0]} takes k" in err
+    assert f"hankelshift verify: error: claim {argv[0]} takes k" in err
 
 
 def test_verify_empty_b_list_echoes_walked_default(capsys):
@@ -272,12 +277,29 @@ def test_verify_empty_k_list_echoes_walked_default(claim, capsys):
     (("c12", "--m-min", "3", "--m-max", "1"), "m in [3, 1], n <= 15"),
     (("t1", "--n-max", "-1"), "m in [1, 5], n <= -1"),
     (("patterns", "--n-max", "-2"), "m in [0, 0], n <= -2"),
+    # c12 walks m <= k only, so m_min above every k leaves no cell.
+    (("c12", "--k", "1", "--m-min", "3", "--m-max", "3", "--n-max", "4"), "m in [3, 3], n <= 4"),
 ])
 def test_verify_empty_grid_is_usage_error(argv, shown, capsys):
     code, out, err = run(capsys, "verify", *argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert f"hankelshift: error: claim {argv[0]} has an empty grid: {shown}\n" in err
+    assert f"hankelshift verify: error: claim {argv[0]} has an empty grid: {shown}\n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--family", "catalan", "--from", "3", "--to", "1"),
+    ("det", "--family", "catalan", "--shift", "0", "--size", "-1"),
+    ("table", "--family", "catalan", "--shift", "2", "--shift-max", "1", "--n-max", "3"),
+    ("det", "--family", "conv", "--shift", "0", "--size", "2"),
+    ("verify", "t1", "--n-max", "-1"),
+])
+def test_runner_usage_error_prints_the_subcommand_usage(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"usage: hankelshift {argv[0]} ")
+    assert f"\nhankelshift {argv[0]}: error: " in err
 
 
 def test_exit_code_mapping_for_failures(monkeypatch, capsys):
@@ -327,3 +349,55 @@ def test_byte_identical_reruns(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def _mostly(valid, invalid):
+    """Mostly a valid flag value, one time in sixteen one the parser must refuse."""
+    return st.integers(0, 15).flatmap(lambda i: valid if i else invalid)
+
+
+def _values(ints):
+    return _mostly(ints.map(str), st.sampled_from(["x", "", "1,,2", "0x1"]))
+
+
+def _choice(options):
+    return _mostly(st.sampled_from(list(options)), st.just("nope"))
+
+
+def _lists(ints):
+    return st.lists(ints, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+
+
+# Small values keep each run fast: nothing refuses an oversized request up
+# front yet, and `det --size 5000` would run for hours.
+_SMALL, _INDEX, _K = st.integers(-6, 6), st.integers(-60, 60), st.integers(-1, 7)
+_FAMILY = {"--family": _choice(FAMILIES), "--b": _values(_SMALL), "--k": _values(_K)}
+_FORMAT = {"--format": _choice(["text", "json", "csv"])}
+_FLAGS = {
+    "gen": {**_FAMILY, "--from": _values(_INDEX), "--to": _values(_INDEX), **_FORMAT},
+    "det": {**_FAMILY, "--shift": _values(_SMALL), "--size": _values(_SMALL),
+            "--engine": _choice([hankel.AUTO, *hankel.ENGINES]), **_FORMAT},
+    "table": {**_FAMILY, "--shift": _values(_SMALL), "--shift-max": _values(_SMALL),
+              "--n-max": _values(_SMALL), **_FORMAT},
+    "verify": {"--m-min": _values(_SMALL), "--m-max": _values(_SMALL),
+               "--k": _values(_K) | _lists(_K), "--b": _values(_SMALL) | _lists(_SMALL),
+               **_FORMAT},
+}
+
+
+@pytest.mark.parametrize("command", [*_FLAGS, "nope"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_documented_code_and_no_traceback(command, data):
+    argv = [command]
+    if command == "verify":
+        # n-max is always given and small, so no claim walks its default grid.
+        argv += [data.draw(_choice(CLAIMS)), "--n-max", str(data.draw(st.integers(-1, 6)))]
+    for flag, values in _FLAGS.get(command, {}).items():
+        if data.draw(st.integers(0, 9)):
+            argv.append(f"{flag}={data.draw(values)}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_THEOREM_FAILURE, EXIT_COUNTEREXAMPLE)
+    assert "Traceback" not in err.getvalue()

@@ -170,6 +170,18 @@ def test_empty_m_or_n_range_raises_before_any_determinant(claim, grid, no_det):
         verify_claim(claim, grid)
 
 
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_resolving_a_default_grid_runs_no_determinant(claim, no_det):
+    assert resolve_grid(claim).n_max == CLAIMS[claim].default.n_max
+
+
+def test_c12_grid_above_its_m_cap_raises_before_any_determinant(no_det):
+    # c12 walks 0 <= m <= k, so m_min = 3 needs some k >= 3.
+    with pytest.raises(ValueError, match=r"claim c12 has an empty grid: m in \[3, 3\], n <= 4"):
+        resolve_grid("c12", GridRange(m_min=3, m_max=3, n_max=4, k_list=(1, 2)))
+    assert resolve_grid("c12", GridRange(m_min=3, m_max=3, n_max=4, k_list=(1, 3))).m_min == 3
+
+
 @pytest.mark.parametrize("claim", ["c10", "c11", "c12", "patterns"])
 def test_empty_k_list_reports_the_default_k_values_it_walks(claim):
     report = verify_claim(claim, GridRange(m_min=0, m_max=1, n_max=3))
