@@ -34,6 +34,13 @@ COMMANDS = (
         "det --family narayana-b --shift -4 --size 14 --format json",
         "table --family narayana-b --shift 1 --shift-max 2 --n-max 12 --format csv",
     ]
+    # Whole rows over backward shifts: zero triangles up to m = 8, interior
+    # zeros of conv near shift 0, and Poly rows under a zero triangle.
+    + [
+        "table --family conv --k 5 --shift -6 --shift-max 6 --n-max 25 --format csv",
+        "table --family m-numbers --b -2 --shift -8 --shift-max 8 --n-max 21 --format text",
+        "table --family narayana-c --shift -3 --shift-max 2 --n-max 10 --format json",
+    ]
     + [f"verify {c}" for c in CLAIMS]
     + [f"verify {c} --n-max 6 --format {f}" for c in CLAIMS for f in FORMATS]
     + [
