@@ -29,6 +29,7 @@ from .hankel import (
     det_bareiss,
     det_cofactor,
     det_condensation,
+    leading_minors,
 )
 from .closed_forms import (
     forward_catalan_det,
@@ -61,6 +62,7 @@ __all__ = [
     "det_cofactor",
     "det_condensation",
     "forward_catalan_det",
+    "leading_minors",
     "narayana_forward_det",
     "narayana_forward_det_recursive",
     "predict_backward",

@@ -169,7 +169,7 @@ def _run_table(args) -> tuple[str, int]:
     sizes = range(args.n_max + 1)
     shifts = range(args.shift, shift_max + 1)
     grid = {
-        m: [hankel.det(hankel.HankelSpec(family, m, n)).value for n in sizes]
+        m: hankel.leading_minors(hankel.HankelSpec(family, m, args.n_max)) if sizes else []
         for m in shifts
     }
     if args.format == "json":

@@ -11,13 +11,15 @@ are computed by
   backward shifts make common).
 
 Engines never approximate: any disagreement between them is a bug and is
-raised loudly by :func:`cross_check`.
+raised loudly by :func:`cross_check`.  :func:`leading_minors` reads a whole
+row d(0..N) off the pivots of one elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from itertools import islice
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import (
     CondensationUnavailable,
@@ -25,7 +27,7 @@ from .errors import (
     EngineDisagreement,
     NonExactDivision,
 )
-from .ring import Poly
+from .ring import Poly, sign_choose2
 from .sequences import SequenceFamily
 
 COFACTOR = "cofactor"
@@ -139,12 +141,19 @@ T = TypeVar("T")
 
 
 def _eliminate(grid: list[list[T]], one: T, zero: T,
-               exact_div: Callable[[T, T], T]) -> T:
-    """Fraction-free elimination over any exact ring; returns the determinant."""
+               exact_div: Callable[[T, T], T]) -> Iterator[T]:
+    """Fraction-free elimination over any exact ring, in place.
+
+    Yields the pivot of each step as the step finds it and, last, the
+    determinant.  Rows are swapped only past a zero pivot, so the values up
+    to and including the first zero are the leading principal minors
+    d(1), d(2), ... of the grid as given.
+    """
     n = len(grid)
     sign = 1
     prev = one
     for k in range(n - 1):
+        yield grid[k][k]
         if grid[k][k] == zero:
             for r in range(k + 1, n):
                 if grid[r][k] != zero:
@@ -152,7 +161,7 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
                     sign = -sign
                     break
             else:
-                return zero
+                return
         pivot = grid[k][k]
         for i in range(k + 1, n):
             row_i, lead = grid[i], grid[i][k]
@@ -161,7 +170,7 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
                 row_i[j] = exact_div(pivot * row_i[j] - lead * row_k[j], prev)
         prev = pivot
     result = grid[-1][-1]
-    return result if sign == 1 else -result
+    yield result if sign == 1 else -result
 
 
 def _int_exact_div(a: int, b: int) -> int:
@@ -171,27 +180,58 @@ def _int_exact_div(a: int, b: int) -> int:
     return q
 
 
-def _bareiss_int(matrix: Matrix) -> Poly:
+def _int_pivots(matrix: Matrix) -> Iterator[Poly]:
     grid = [[e.constant for e in row] for row in matrix.rows]
-    return Poly.const(_eliminate(grid, 1, 0, _int_exact_div))
+    return map(Poly.const, _eliminate(grid, 1, 0, _int_exact_div))
 
 
-def _bareiss_poly(matrix: Matrix) -> Poly:
+def _poly_pivots(matrix: Matrix) -> Iterator[Poly]:
     grid = [list(row) for row in matrix.rows]
     return _eliminate(grid, Poly.const(1), Poly(), lambda a, b: a.exact_div(b))
 
 
-def det_bareiss(matrix: Matrix) -> Poly:
-    """Exact determinant by fraction-free elimination.
+def _pivots(matrix: Matrix) -> Iterator[Poly]:
+    """The values of :func:`_eliminate` on a nonempty matrix.
 
     All-constant matrices take a pure-int path; the generic path runs the
     identical algorithm over Poly, and the two are tested bit-identical.
     """
+    return _int_pivots(matrix) if matrix.all_constant else _poly_pivots(matrix)
+
+
+def det_bareiss(matrix: Matrix) -> Poly:
+    """Exact determinant by fraction-free elimination."""
     if matrix.n == 0:
         return Poly.const(1)
-    if matrix.all_constant:
-        return _bareiss_int(matrix)
-    return _bareiss_poly(matrix)
+    *_, value = _pivots(matrix)
+    return value
+
+
+def leading_minors(spec: HankelSpec) -> list[Poly]:
+    """[d(0), d(1), ..., d(size)] at ``spec.shift``, from one elimination of ``build(spec)``.
+
+    d(n) is the n-th leading principal minor of the size-N matrix, and
+    fraction-free elimination meets each one as a pivot.  When row 0 starts
+    with z zeros (z = -shift at every backward shift of the families here),
+    d(1) .. d(z) vanish and rows 0..z are reversed before eliminating: their
+    leading block becomes triangular with the first nonzero term on the
+    diagonal, and every larger leading block holds all of them, so its
+    pivot is (-1)^C(z+1,2) d(n).  Past the first vanishing minor the
+    elimination would swap rows, so each remaining size gets its own
+    :func:`det_bareiss`.
+    """
+    rows = build(spec).rows
+    z = next((j for j in range(spec.size) if not rows[0][j].is_zero), spec.size)
+    minors = [Poly.const(1)] + [Poly()] * z
+    if z < spec.size:
+        sign = sign_choose2(z + 1)
+        for pivot in islice(_pivots(Matrix(rows[z::-1] + rows[z + 1:])), z, None):
+            minors.append(pivot if sign == 1 else -pivot)
+            if pivot.is_zero:
+                break
+    for n in range(len(minors), spec.size + 1):
+        minors.append(det_bareiss(build(HankelSpec(spec.family, spec.shift, n))))
+    return minors
 
 
 def det_condensation(matrix: Matrix) -> Poly | None:
