@@ -41,6 +41,13 @@ COMMANDS = (
         "table --family m-numbers --b -2 --shift -8 --shift-max 8 --n-max 21 --format text",
         "table --family narayana-c --shift -3 --shift-max 2 --n-max 10 --format json",
     ]
+    # Polynomial Bareiss on operands carrying powers of t (shift 0), a
+    # forward shift, and Poly rows under reversed zero triangles.
+    + [
+        "det --family narayana-c --shift 0 --size 16 --format text",
+        "det --family narayana-b --shift 3 --size 13 --format text",
+        "table --family narayana-c --shift -4 --shift-max 4 --n-max 12 --format csv",
+    ]
     + [f"verify {c}" for c in CLAIMS]
     + [f"verify {c} --n-max 6 --format {f}" for c in CLAIMS for f in FORMATS]
     + [
