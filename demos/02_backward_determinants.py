@@ -35,7 +35,8 @@ cond = det_condensation(matrix)
 print(f"  condensation       : {'unavailable (zero interior minor)' if cond is None else cond}")
 
 print()
-print("the dispatcher prefers condensation and falls back to elimination:")
+print("on integer matrices the dispatcher prefers condensation and falls back")
+print("to elimination (polynomial matrices go straight to elimination):")
 for shift in (2, 0, -1, -3):
     result = det(HankelSpec(Catalan(), shift, 6))
     print(f"  shift {shift:>2}: det = {str(result.value):>6}   engine = {result.engine}")

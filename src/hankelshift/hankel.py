@@ -7,8 +7,14 @@ are computed by
 
 * cofactor expansion (small sizes only; the independent oracle),
 * fraction-free elimination (the workhorse; every interior division exact),
+  whose polynomial steps compute each update (pivot*a_ij - a_ik*a_kj) /
+  previous pivot as one packed big-int expression
+  (:func:`~hankelshift.ring.cross_quotient`),
 * iterated condensation (fails soft when an interior minor vanishes, which
   backward shifts make common).
+
+The default dispatch runs polynomial matrices on elimination and tries
+condensation first on integer ones.
 
 Engines never approximate: any disagreement between them is a bug and is
 raised loudly by :func:`cross_check`.  :func:`leading_minors` reads a whole
@@ -18,6 +24,7 @@ row d(0..N) off the pivots of one elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -27,7 +34,7 @@ from .errors import (
     EngineDisagreement,
     NonExactDivision,
 )
-from .ring import Poly, sign_choose2
+from .ring import Poly, cross_quotient, sign_choose2
 from .sequences import SequenceFamily
 
 COFACTOR = "cofactor"
@@ -141,13 +148,15 @@ T = TypeVar("T")
 
 
 def _eliminate(grid: list[list[T]], one: T, zero: T,
-               exact_div: Callable[[T, T], T]) -> Iterator[T]:
+               step: Callable[[], Callable[[T, T, T, T, T], T]]) -> Iterator[T]:
     """Fraction-free elimination over any exact ring, in place.
 
-    Yields the pivot of each step as the step finds it and, last, the
-    determinant.  Rows are swapped only past a zero pivot, so the values up
-    to and including the first zero are the leading principal minors
-    d(1), d(2), ... of the grid as given.
+    ``step()`` gives the entry function of one elimination step, which maps
+    (pivot, a_ij, a_ik, a_kj, previous pivot) to the exact quotient
+    (pivot*a_ij - a_ik*a_kj) / previous pivot.  Yields the pivot of each
+    step as the step finds it and, last, the determinant.  Rows are swapped
+    only past a zero pivot, so the values up to and including the first zero
+    are the leading principal minors d(1), d(2), ... of the grid as given.
     """
     n = len(grid)
     sign = 1
@@ -163,31 +172,33 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
             else:
                 return
         pivot = grid[k][k]
+        entry = step()
+        row_k = grid[k]
         for i in range(k + 1, n):
             row_i, lead = grid[i], grid[i][k]
-            row_k = grid[k]
             for j in range(k + 1, n):
-                row_i[j] = exact_div(pivot * row_i[j] - lead * row_k[j], prev)
+                row_i[j] = entry(pivot, row_i[j], lead, row_k[j], prev)
         prev = pivot
     result = grid[-1][-1]
     yield result if sign == 1 else -result
 
 
-def _int_exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
+def _int_cross_quotient(a: int, d: int, b: int, c: int, e: int) -> int:
+    q, r = divmod(a * d - b * c, e)
     if r:
-        raise NonExactDivision(f"{a} is not divisible by {b}")
+        raise NonExactDivision(f"{a * d - b * c} is not divisible by {e}")
     return q
 
 
 def _int_pivots(matrix: Matrix) -> Iterator[Poly]:
     grid = [[e.constant for e in row] for row in matrix.rows]
-    return map(Poly.const, _eliminate(grid, 1, 0, _int_exact_div))
+    return map(Poly.const, _eliminate(grid, 1, 0, lambda: _int_cross_quotient))
 
 
 def _poly_pivots(matrix: Matrix) -> Iterator[Poly]:
+    """The pivots over Poly; each step's updates share one memo of packed operands."""
     grid = [list(row) for row in matrix.rows]
-    return _eliminate(grid, Poly.const(1), Poly(), lambda a, b: a.exact_div(b))
+    return _eliminate(grid, Poly.const(1), Poly(), lambda: partial(cross_quotient, {}))
 
 
 def _pivots(matrix: Matrix) -> Iterator[Poly]:
@@ -267,12 +278,16 @@ def det_condensation(matrix: Matrix) -> Poly | None:
 def det(spec: HankelSpec, engine: str = AUTO) -> DetResult:
     """Determinant of the matrix a spec denotes.
 
-    The default dispatch prefers condensation and falls back to elimination
-    when a zero interior minor blocks it; naming one of the engines forces
-    that engine (condensation then raises if unavailable).
+    The default dispatch sends a matrix with a nonconstant entry straight to
+    elimination.  An all-constant matrix tries condensation first and falls
+    back to elimination when a zero interior minor blocks it.  Naming one of
+    the engines forces that engine (condensation then raises if
+    unavailable).
     """
     matrix = build(spec)
     if engine == AUTO:
+        if not matrix.all_constant:
+            return DetResult(det_bareiss(matrix), BAREISS, spec)
         value = det_condensation(matrix)
         if value is not None:
             return DetResult(value, CONDENSATION, spec)

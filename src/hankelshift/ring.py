@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 import re
+import struct
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import NonExactDivision, NonUnitConstantTerm
@@ -77,6 +79,7 @@ def _bits(coeffs: tuple[int, ...] | list[int]) -> int:
     return max(max(coeffs), -min(coeffs)).bit_length()
 
 
+@lru_cache(maxsize=256)
 def _slot_tops(nb: int, count: int) -> int:
     """The integer whose ``count`` slots of ``nb`` bytes each hold 2^(8*nb-1)."""
     return int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
@@ -87,9 +90,13 @@ def _pack(coeffs: tuple[int, ...], nb: int) -> int:
 
     The two's complement slots plus 2^(8*nb-1) each (an XOR of the top bit)
     are the nonnegative digits of the packed value plus ``_slot_tops``.
+    Slots of one 64-bit word are written by ``struct`` in one call.
     """
     tops = _slot_tops(nb, len(coeffs))
-    raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in coeffs])
+    if nb == 8:
+        raw = struct.pack(f"<{len(coeffs)}q", *coeffs)
+    else:
+        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in coeffs])
     return (int.from_bytes(raw, "little") ^ tops) - tops
 
 
@@ -102,6 +109,8 @@ def _unpack(value: int, nb: int, count: int) -> list[int]:
     """
     tops = _slot_tops(nb, count)
     raw = ((value + tops) ^ tops).to_bytes(nb * count, "little")
+    if nb == 8:
+        return list(struct.unpack(f"<{count}q", raw))
     return [int.from_bytes(raw[i:i + nb], "little", signed=True)
             for i in range(0, nb * count, nb)]
 
@@ -155,6 +164,103 @@ def _kronecker_quotient(a: Poly, b: Poly) -> list[int] | None:
     if _bits(digits) + _bits(bc) + min(qlen, len(bc)).bit_length() > 8 * nb - 2:
         return None
     return [0] * (va - vb) + digits
+
+
+def _operand(packs: dict, p: Poly) -> list:
+    """Memo entry [p, v, p' coefficients, bits p', len p', {nb: packed p'}], p = t^v p'."""
+    cs = p.coeffs
+    v = _valuation(cs) if cs else 0
+    cs = cs[v:]
+    entry = packs[id(p)] = [p, v, cs, _bits(cs) if cs else 0, len(cs), {}]
+    return entry
+
+
+def _packed(entry: list, nb: int) -> int:
+    by_width = entry[5]
+    packed = by_width.get(nb)
+    if packed is None:
+        packed = by_width[nb] = _pack(entry[2], nb)
+    return packed
+
+
+def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
+    """The exact quotient (a*d - b*c) / e through one packed big-int expression.
+
+    This is the update of a fraction-free elimination step.  ``packs`` is a
+    memo shared by the calls of one step, where the pivot, the divisor, a
+    row's lead and a column's entry recur; each entry holds its Poly, so the
+    ``id`` it is keyed by cannot be reused by another object while the memo
+    lives.
+
+    With every operand written t^v * p' (p' not divisible by t), the two
+    products are t^v1 * a'd' and t^v2 * b'c'.  Each coefficient of a'd'
+    lies below 2^s1, s1 = bits a' + bits d' + bitlen(min(len a', len d')),
+    so the numerator M = t^(v1-v) a'd' - t^(v2-v) b'c' (v = min(v1, v2))
+    has coefficients below 2^(max(s1, s2) + 1), and so does e'.  Slots of
+    W bits, W >= max(s1, s2) + 3 (the product slot of :func:`_kronecker_mul`
+    plus 2) with 16 bits of slack, rounded up to whole 64-bit words, hold
+    every coefficient of M and e' as a balanced digit; packing is evaluation
+    at 2^W, so M(2^W) is one integer expression over the packed operands.
+    e divides the numerator only if t^ve does, which for ve > v is the test
+    that the low ve - v slots of M(2^W) are zero (balanced digits are
+    unique).  From there the argument of :func:`_kronecker_quotient` holds:
+    a nonzero remainder of ``divmod`` by e'(2^W) raises NonExactDivision,
+    and the quotient's balanced digits are accepted under the same digit
+    bound.  An entry whose quotient fails the bound is computed as
+    ``(a*d - b*c).exact_div(e)``.
+    """
+    get = packs.get
+    A = get(id(a)) or _operand(packs, a)
+    D = get(id(d)) or _operand(packs, d)
+    B = get(id(b)) or _operand(packs, b)
+    C = get(id(c)) or _operand(packs, c)
+    E = get(id(e)) or _operand(packs, e)
+    if not E[3]:
+        raise NonExactDivision("division by the zero polynomial")
+    # Bits are 0 exactly for the zero polynomial.
+    first, second = A[3] and D[3], B[3] and C[3]
+    if first:
+        v1 = A[1] + D[1]
+        s1 = A[3] + D[3] + min(A[4], D[4]).bit_length()
+    if second:
+        v2 = B[1] + C[1]
+        s2 = B[3] + C[3] + min(B[4], C[4]).bit_length()
+    if first and second:
+        s, v = max(s1, s2), min(v1, v2)
+    elif first:
+        s, v = s1, v1
+    elif second:
+        s, v = s2, v2
+    else:
+        return Poly()
+    nb = (max(s + 1, E[3]) + 2 + 16 + 63) // 64 * 8
+    w = 8 * nb
+    num = mlen = 0
+    if first:
+        num = (_packed(A, nb) * _packed(D, nb)) << (w * (v1 - v))
+        mlen = v1 - v + A[4] + D[4] - 1
+    if second:
+        num -= (_packed(B, nb) * _packed(C, nb)) << (w * (v2 - v))
+        mlen = max(mlen, v2 - v + B[4] + C[4] - 1)
+    low = E[1] - v
+    if low > 0:
+        if num & ((1 << (w * low)) - 1):
+            raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
+        num >>= w * low
+        mlen -= low
+    quot, rem = divmod(num, _packed(E, nb))
+    if rem:
+        raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
+    if not quot:
+        return Poly()
+    qlen = mlen - E[4] + 1
+    try:
+        digits = _unpack(quot, nb, qlen)
+    except OverflowError:
+        digits = None
+    if digits is None or _bits(digits) + E[3] + min(qlen, E[4]).bit_length() > w - 2:
+        return (a * d - b * c).exact_div(e)
+    return Poly([0] * -low + digits if low < 0 else digits)
 
 
 def _decimal(n: int) -> str:
