@@ -20,7 +20,10 @@ otherwise the schoolbook division decides.  Powers of t are stripped
 before packing, so that low zero coefficients take no slots.  Products and
 quotients whose shorter factor has fewer than :data:`KRONECKER_MIN_LEN`
 coefficients, every constant operand among them, stay on the schoolbook
-loops.
+loops.  :func:`cross_quotient` applies the same argument to a whole
+fraction-free elimination update (a*d - b*c) / e, in one packed integer
+expression with slots sized for that update, whatever the operands'
+lengths.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import math
 import re
 import struct
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import NonExactDivision, NonUnitConstantTerm
@@ -79,7 +81,6 @@ def _bits(coeffs: tuple[int, ...] | list[int]) -> int:
     return max(max(coeffs), -min(coeffs)).bit_length()
 
 
-@lru_cache(maxsize=256)
 def _slot_tops(nb: int, count: int) -> int:
     """The integer whose ``count`` slots of ``nb`` bytes each hold 2^(8*nb-1)."""
     return int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
@@ -196,11 +197,12 @@ def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> 
     products are t^v1 * a'd' and t^v2 * b'c'.  Each coefficient of a'd'
     lies below 2^s1, s1 = bits a' + bits d' + bitlen(min(len a', len d')),
     so the numerator M = t^(v1-v) a'd' - t^(v2-v) b'c' (v = min(v1, v2))
-    has coefficients below 2^(max(s1, s2) + 1), and so does e'.  Slots of
-    W bits, W >= max(s1, s2) + 3 (the product slot of :func:`_kronecker_mul`
-    plus 2) with 16 bits of slack, rounded up to whole 64-bit words, hold
-    every coefficient of M and e' as a balanced digit; packing is evaluation
-    at 2^W, so M(2^W) is one integer expression over the packed operands.
+    has coefficients below 2^(max(s1, s2) + 1).  W is the larger of the
+    product slot of :func:`_kronecker_mul`, max(s1, s2) + 1, and bits e',
+    plus 2 bits and 16 bits of slack, rounded up to whole 64-bit words; so
+    slots of W bits hold every coefficient of M and e' as a balanced digit.
+    Packing is evaluation at 2^W, so M(2^W) is one integer expression over
+    the packed operands.
     e divides the numerator only if t^ve does, which for ve > v is the test
     that the low ve - v slots of M(2^W) are zero (balanced digits are
     unique).  From there the argument of :func:`_kronecker_quotient` holds:
