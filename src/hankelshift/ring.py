@@ -167,30 +167,39 @@ def _kronecker_quotient(a: Poly, b: Poly) -> list[int] | None:
     return [0] * (va - vb) + digits
 
 
-def _operand(packs: dict, p: Poly) -> list:
-    """Memo entry [p, v, p' coefficients, bits p', len p', {nb: packed p'}], p = t^v p'."""
-    cs = p.coeffs
-    v = _valuation(cs) if cs else 0
-    cs = cs[v:]
-    entry = packs[id(p)] = [p, v, cs, _bits(cs) if cs else 0, len(cs), {}]
-    return entry
+class _Operand:
+    """p = t^v * p' as one elimination step sees it, p' packed once per slot width."""
+
+    __slots__ = ("poly", "v", "coeffs", "bits", "length", "packed")
+
+    def __init__(self, p: Poly) -> None:
+        cs = p.coeffs
+        self.poly = p  # keeps id(p), the memo key, from being reused
+        self.v = _valuation(cs) if cs else 0
+        self.coeffs = cs[self.v:]
+        self.bits = _bits(cs) if cs else 0  # 0 exactly for the zero polynomial
+        self.length = len(self.coeffs)
+        self.packed: dict[int, int] = {}
+
+    def at(self, nb: int) -> int:
+        packed = self.packed.get(nb)
+        if packed is None:
+            packed = self.packed[nb] = _pack(self.coeffs, nb)
+        return packed
 
 
-def _packed(entry: list, nb: int) -> int:
-    by_width = entry[5]
-    packed = by_width.get(nb)
-    if packed is None:
-        packed = by_width[nb] = _pack(entry[2], nb)
-    return packed
+def _operand(packs: dict, p: Poly) -> _Operand:
+    op = packs[id(p)] = _Operand(p)
+    return op
 
 
 def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     """The exact quotient (a*d - b*c) / e through one packed big-int expression.
 
     This is the update of a fraction-free elimination step.  ``packs`` is a
-    memo shared by the calls of one step, where the pivot, the divisor, a
-    row's lead and a column's entry recur; each entry holds its Poly, so the
-    ``id`` it is keyed by cannot be reused by another object while the memo
+    memo, keyed by ``id``, shared by the calls of one step, where the pivot,
+    the divisor, a row's lead and a column's entry recur; each entry holds
+    its Poly, so no other object can take over its ``id`` while the memo
     lives.
 
     With every operand written t^v * p' (p' not divisible by t), the two
@@ -217,16 +226,15 @@ def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> 
     B = get(id(b)) or _operand(packs, b)
     C = get(id(c)) or _operand(packs, c)
     E = get(id(e)) or _operand(packs, e)
-    if not E[3]:
+    if not E.bits:
         raise NonExactDivision("division by the zero polynomial")
-    # Bits are 0 exactly for the zero polynomial.
-    first, second = A[3] and D[3], B[3] and C[3]
+    first, second = A.bits and D.bits, B.bits and C.bits
     if first:
-        v1 = A[1] + D[1]
-        s1 = A[3] + D[3] + min(A[4], D[4]).bit_length()
+        v1 = A.v + D.v
+        s1 = A.bits + D.bits + min(A.length, D.length).bit_length()
     if second:
-        v2 = B[1] + C[1]
-        s2 = B[3] + C[3] + min(B[4], C[4]).bit_length()
+        v2 = B.v + C.v
+        s2 = B.bits + C.bits + min(B.length, C.length).bit_length()
     if first and second:
         s, v = max(s1, s2), min(v1, v2)
     elif first:
@@ -235,32 +243,32 @@ def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> 
         s, v = s2, v2
     else:
         return Poly()
-    nb = (max(s + 1, E[3]) + 2 + 16 + 63) // 64 * 8
+    nb = (max(s + 1, E.bits) + 2 + 16 + 63) // 64 * 8
     w = 8 * nb
     num = mlen = 0
     if first:
-        num = (_packed(A, nb) * _packed(D, nb)) << (w * (v1 - v))
-        mlen = v1 - v + A[4] + D[4] - 1
+        num = (A.at(nb) * D.at(nb)) << (w * (v1 - v))
+        mlen = v1 - v + A.length + D.length - 1
     if second:
-        num -= (_packed(B, nb) * _packed(C, nb)) << (w * (v2 - v))
-        mlen = max(mlen, v2 - v + B[4] + C[4] - 1)
-    low = E[1] - v
+        num -= (B.at(nb) * C.at(nb)) << (w * (v2 - v))
+        mlen = max(mlen, v2 - v + B.length + C.length - 1)
+    low = E.v - v
     if low > 0:
         if num & ((1 << (w * low)) - 1):
             raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
         num >>= w * low
         mlen -= low
-    quot, rem = divmod(num, _packed(E, nb))
+    quot, rem = divmod(num, E.at(nb))
     if rem:
         raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
     if not quot:
         return Poly()
-    qlen = mlen - E[4] + 1
+    qlen = mlen - E.length + 1
     try:
         digits = _unpack(quot, nb, qlen)
     except OverflowError:
         digits = None
-    if digits is None or _bits(digits) + E[3] + min(qlen, E[4]).bit_length() > w - 2:
+    if digits is None or _bits(digits) + E.bits + min(qlen, E.length).bit_length() > w - 2:
         return (a * d - b * c).exact_div(e)
     return Poly([0] * -low + digits if low < 0 else digits)
 

@@ -132,7 +132,7 @@ def test_cross_quotient_memo_shares_packs_within_a_step():
         d = c * Poly((1, 4))
         assert cross_quotient(packs, pivot, d * e, pivot, c * e, e) == pivot * (d - c)
     # The pivot and the divisor are keyed once each, every entry holding its Poly.
-    assert packs[id(pivot)][0] is pivot and packs[id(e)][0] is e
+    assert packs[id(pivot)].poly is pivot and packs[id(e)].poly is e
 
 
 def row_degree_bound(matrix):
