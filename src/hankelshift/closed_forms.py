@@ -6,7 +6,8 @@ it predicts the backward-shift determinants.  The Narayana analogue has no
 known product formula; it is pinned down by a three-term recursion
 (:func:`narayana_forward_det_recursive`) and, independently, by an actual
 determinant (:func:`narayana_forward_det`).  Keeping both routes alive is
-deliberate: they cross-validate each other in the test suite.
+deliberate: they cross-validate each other in the test suite.  As both
+run the packed kernel, the tests also audit the recursion by evaluation.
 
 Predictions returned by :func:`predict_backward` never evaluate the
 determinant they predict; that independence is what makes the verification
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from . import hankel
 from .errors import NonIntegerResult, UnsupportedFamily, ZeroDivisorEncountered
-from .ring import Poly, sign_choose2
+from .ring import Poly, cross_quotient, sign_choose2
 from .sequences import (
     Catalan,
     CentralBinomial,
@@ -84,6 +85,7 @@ def narayana_forward_det_recursive(m: int, n: int) -> Poly:
     so the table is a wedge whose extent is known up front.  Every division
     is exact and every divisor nonzero; a vanishing divisor would falsify
     the nonvanishing of these determinants and is raised, never masked.
+    Each entry is one packed update, sharing one memo per column.
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
@@ -95,6 +97,7 @@ def narayana_forward_det_recursive(m: int, n: int) -> Poly:
     for c in range(2, n + 1):
         limit = m + 2 * (n - c)
         nxt: dict[int, Poly] = {}
+        packs: dict = {}
         for r in range(limit + 1):
             divisor = col_before[r + 2]
             if divisor.is_zero:
@@ -102,8 +105,7 @@ def narayana_forward_det_recursive(m: int, n: int) -> Poly:
                     f"table entry (m={r + 2}, n={c - 2}) vanished; "
                     "the recursion requires it nonzero"
                 )
-            numerator = col[r] * col[r + 2] - col[r + 1] ** 2
-            nxt[r] = numerator.exact_div(divisor)
+            nxt[r] = cross_quotient(packs, col[r], col[r + 2], col[r + 1], col[r + 1], divisor)
         col_before, col = col, nxt
     return col[m]
 

@@ -7,11 +7,12 @@ are computed by
 
 * cofactor expansion (small sizes only; the independent oracle),
 * fraction-free elimination (the workhorse; every interior division exact),
-  whose polynomial steps compute each update (pivot*a_ij - a_ik*a_kj) /
-  previous pivot as one packed big-int expression
-  (:func:`~hankelshift.ring.cross_quotient`),
 * iterated condensation (fails soft when an interior minor vanishes, which
   backward shifts make common).
+
+On a matrix with a nonconstant entry both fraction-free engines compute
+each exact update (a*d - b*c) / e as one packed big-int expression
+(:func:`~hankelshift.ring.cross_quotient`).
 
 The default dispatch runs polynomial matrices on elimination and tries
 condensation first on integer ones.
@@ -34,7 +35,7 @@ from .errors import (
     EngineDisagreement,
     NonExactDivision,
 )
-from .ring import Poly, cross_quotient, sign_choose2
+from .ring import Poly, cross_quotient, schoolbook_cross_quotient, sign_choose2
 from .sequences import SequenceFamily
 
 COFACTOR = "cofactor"
@@ -251,16 +252,20 @@ def det_condensation(matrix: Matrix) -> Poly | None:
     Each layer entry is a contiguous minor of the original matrix, computed
     as a 2x2 determinant of the previous layer divided by the interior of
     the layer before that.  A zero interior minor makes the exact division
-    impossible; that is reported as unavailability, never as an error.
+    impossible; that is reported as unavailability, never as an error, and
+    is found before any update divides by it.  Updates pack (one memo per
+    layer) unless every entry is constant.
     """
     n = matrix.n
     if n == 0:
         return Poly.const(1)
+    constant = matrix.all_constant
     one = Poly.const(1)
     prev = [[one] * (n + 1) for _ in range(n + 1)]
     cur = [list(row) for row in matrix.rows]
     while len(cur) > 1:
         m = len(cur) - 1
+        entry = schoolbook_cross_quotient if constant else partial(cross_quotient, {})
         nxt = []
         for i in range(m):
             row = []
@@ -268,8 +273,7 @@ def det_condensation(matrix: Matrix) -> Poly | None:
                 divisor = prev[i + 1][j + 1]
                 if divisor.is_zero:
                     return None
-                num = cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
-                row.append(num.exact_div(divisor))
+                row.append(entry(cur[i][j], cur[i + 1][j + 1], cur[i][j + 1], cur[i + 1][j], divisor))
             nxt.append(row)
         prev, cur = cur, nxt
     return cur[0][0]

@@ -6,24 +6,9 @@ formal power series in ``x`` whose coefficients are polynomials.  Nothing
 in this module ever rounds: a division either succeeds exactly or raises
 :class:`~hankelshift.errors.NonExactDivision`.
 
-Large polynomial products and exact quotients use Kronecker substitution:
-a polynomial is packed into one integer, its value at t = 2^W, with each
-coefficient in a signed slot of W = 8*nb bits, so that one big-int multiply
-or ``divmod`` does the work of the schoolbook loop.  A product's slots are
-sized from the operands' bit lengths so that every product coefficient
-provably fits, and its balanced (signed) digits are then exactly its
-coefficients.  A quotient is the integer quotient's balanced digits: a
-nonzero integer remainder already proves the division inexact, and a zero
-one is trusted only when the digit bound of :func:`_kronecker_quotient`
-shows that the digits times the divisor reproduce the dividend's slots;
-otherwise the schoolbook division decides.  Powers of t are stripped
-before packing, so that low zero coefficients take no slots.  Products and
-quotients whose shorter factor has fewer than :data:`KRONECKER_MIN_LEN`
-coefficients, every constant operand among them, stay on the schoolbook
-loops.  :func:`cross_quotient` applies the same argument to a whole
-fraction-free elimination update (a*d - b*c) / e, in one packed integer
-expression with slots sized for that update, whatever the operands'
-lengths.
+``Poly`` arithmetic is schoolbook.  The exact update (a*d - b*c) / e of every
+fraction-free step on polynomials is one packed big-int expression,
+:func:`cross_quotient`, whose docstring holds the argument for its exactness.
 """
 
 from __future__ import annotations
@@ -37,15 +22,6 @@ from .errors import NonExactDivision, NonUnitConstantTerm
 
 #: Default truncation length for generating series.
 DEFAULT_SERIES_ORDER = 64
-
-#: Fewest coefficients, powers of t stripped, that the shorter factor of a
-#: product (of a division: the quotient or the divisor) needs to be packed.
-#: Measured on the operands of Narayana determinants (Python 3.11), packing
-#: was 1.4-1.6x faster than the schoolbook loop at 16-20 coefficients and
-#: 2-3.6x faster from 32; with a factor of 1-6 coefficients it was up to 5x
-#: slower.
-KRONECKER_MIN_LEN = 16
-
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient with the combinatorial out-of-range convention.
@@ -116,63 +92,13 @@ def _unpack(value: int, nb: int, count: int) -> list[int]:
             for i in range(0, nb * count, nb)]
 
 
-def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int] | None:
-    """Coefficients of a*b through one big-int product, or None when a factor
-    stripped of its power of t has fewer than KRONECKER_MIN_LEN coefficients.
-
-    Each product coefficient is a sum of min(len a, len b) terms below
-    2^(bits a + bits b), so it lies strictly inside a signed slot of
-    8*nb >= bits a + bits b + bitlen(min(len a, len b)) + 1 bits, and the
-    product's balanced digits are its coefficients.
-    """
-    va, vb = _valuation(a), _valuation(b)
-    a, b = a[va:], b[vb:]
-    if min(len(a), len(b)) < KRONECKER_MIN_LEN:
-        return None
-    nb = (_bits(a) + _bits(b) + min(len(a), len(b)).bit_length() + 8) // 8
-    return [0] * (va + vb) + _unpack(_pack(a, nb) * _pack(b, nb), nb, len(a) + len(b) - 1)
-
-
-def _kronecker_quotient(a: Poly, b: Poly) -> list[int] | None:
-    """Coefficients of the exact quotient a/b, or None to leave it to the schoolbook loop.
-
-    With a = t^va * a' and b = t^vb * b' (a', b' not divisible by t), b
-    divides a exactly when va >= vb and b' divides a', and then
-    a/b = t^(va-vb) * a'/b'.  Packing is a ring homomorphism Z[t] -> Z
-    (evaluation at 2^W), so a quotient a'/b' would divide the packed ints
-    exactly: a nonzero remainder raises NonExactDivision.  Otherwise the
-    quotient's balanced digits q are returned only if
-    bits q + bits b' + bitlen(min(len q, len b')) <= W - 2: then every
-    coefficient of q*b' fits a slot, so q*b' and a' are two balanced-digit
-    forms of the same packed integer and q*b' == a' exactly.  Slots cover
-    both operands with a byte of slack over bits a' + bitlen(len q), which
-    fits the quotients met in Bareiss and condensation steps.
-    """
-    ac, bc = a.coeffs, b.coeffs
-    va, vb = _valuation(ac), _valuation(bc)
-    ac, bc = ac[va:], bc[vb:]
-    qlen = len(ac) - len(bc) + 1
-    if va < vb or min(qlen, len(bc)) < KRONECKER_MIN_LEN:
-        return None
-    nb = (max(_bits(ac), _bits(bc)) + qlen.bit_length() + 16) // 8
-    quot, rem = divmod(_pack(ac, nb), _pack(bc, nb))
-    if rem:
-        raise NonExactDivision(f"({a}) is not divisible by ({b})")
-    try:
-        digits = _unpack(quot, nb, qlen)
-    except OverflowError:
-        return None
-    if _bits(digits) + _bits(bc) + min(qlen, len(bc)).bit_length() > 8 * nb - 2:
-        return None
-    return [0] * (va - vb) + digits
-
-
 class _Operand:
-    """p = t^v * p' as one elimination step sees it, p' packed once per slot width."""
+    """p = t^v * p' in one step's memo (under ``id(p)``), p' packed once per slot width."""
 
     __slots__ = ("poly", "v", "coeffs", "bits", "length", "packed")
 
-    def __init__(self, p: Poly) -> None:
+    def __init__(self, packs: dict, p: Poly) -> None:
+        packs[id(p)] = self
         cs = p.coeffs
         self.poly = p  # keeps id(p), the memo key, from being reused
         self.v = _valuation(cs) if cs else 0
@@ -188,44 +114,48 @@ class _Operand:
         return packed
 
 
-def _operand(packs: dict, p: Poly) -> _Operand:
-    op = packs[id(p)] = _Operand(p)
-    return op
-
-
 def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     """The exact quotient (a*d - b*c) / e through one packed big-int expression.
 
-    This is the update of a fraction-free elimination step.  ``packs`` is a
-    memo, keyed by ``id``, shared by the calls of one step, where the pivot,
-    the divisor, a row's lead and a column's entry recur; each entry holds
-    its Poly, so no other object can take over its ``id`` while the memo
-    lives.
+    This is the update of a fraction-free elimination step, of a layer of
+    condensation and of a column of the Narayana recursion.  ``packs`` is a
+    memo, keyed by ``id``, shared by the calls of one step, layer or column,
+    where operands recur; each entry holds its Poly, so no other object can
+    take over its ``id`` while the memo lives.
+
+    Packing (:func:`_pack`) evaluates at t = 2^W, W = 8*nb, a ring
+    homomorphism Z[t] -> Z; a packed polynomial whose coefficients all fit
+    a slot gets them back as its balanced digits (:func:`_unpack`).
 
     With every operand written t^v * p' (p' not divisible by t), the two
-    products are t^v1 * a'd' and t^v2 * b'c'.  Each coefficient of a'd'
-    lies below 2^s1, s1 = bits a' + bits d' + bitlen(min(len a', len d')),
-    so the numerator M = t^(v1-v) a'd' - t^(v2-v) b'c' (v = min(v1, v2))
-    has coefficients below 2^(max(s1, s2) + 1).  W is the larger of the
-    product slot of :func:`_kronecker_mul`, max(s1, s2) + 1, and bits e',
-    plus 2 bits and 16 bits of slack, rounded up to whole 64-bit words; so
-    slots of W bits hold every coefficient of M and e' as a balanced digit.
-    Packing is evaluation at 2^W, so M(2^W) is one integer expression over
-    the packed operands.
+    products are t^v1 * a'd' and t^v2 * b'c'.  Each coefficient of a'd' is a
+    sum of min(len a', len d') terms below 2^(bits a' + bits d'), so it lies
+    below 2^s1, s1 = bits a' + bits d' + bitlen(min(len a', len d')), and
+    the numerator M = t^(v1-v) a'd' - t^(v2-v) b'c' (v = min(v1, v2)) has
+    coefficients below 2^(max(s1, s2) + 1).  W is the larger of
+    max(s1, s2) + 1 and bits e', plus 2 bits and 16 bits of slack, rounded
+    up to whole bytes and to at least one 64-bit word (whose slots ``struct``
+    reads and writes in one call); so slots of W bits hold every coefficient
+    of M and e' as a balanced digit, and M(2^W) is one integer expression
+    over the packed operands.
+
     e divides the numerator only if t^ve does, which for ve > v is the test
-    that the low ve - v slots of M(2^W) are zero (balanced digits are
-    unique).  From there the argument of :func:`_kronecker_quotient` holds:
-    a nonzero remainder of ``divmod`` by e'(2^W) raises NonExactDivision,
-    and the quotient's balanced digits are accepted under the same digit
-    bound.  An entry whose quotient fails the bound is computed as
-    ``(a*d - b*c).exact_div(e)``.
+    that the low ve - v slots of M(2^W) are zero; they are shifted out, and
+    M' is what remains.  If e' divides M', then e'(2^W) divides M'(2^W), so
+    a nonzero remainder of ``divmod`` raises NonExactDivision.  A zero
+    remainder leaves an integer quotient whose balanced digits q are
+    accepted only if bits q + bits e' + bitlen(min(len q, len e')) <= W - 2:
+    then every coefficient of q*e' fits a slot, so q*e' and M' are two
+    balanced-digit forms of the same integer, and q*e' == M' exactly.  An
+    entry whose quotient fails the bound is computed by
+    :func:`schoolbook_cross_quotient`.
     """
     get = packs.get
-    A = get(id(a)) or _operand(packs, a)
-    D = get(id(d)) or _operand(packs, d)
-    B = get(id(b)) or _operand(packs, b)
-    C = get(id(c)) or _operand(packs, c)
-    E = get(id(e)) or _operand(packs, e)
+    A = get(id(a)) or _Operand(packs, a)
+    D = get(id(d)) or _Operand(packs, d)
+    B = get(id(b)) or _Operand(packs, b)
+    C = get(id(c)) or _Operand(packs, c)
+    E = get(id(e)) or _Operand(packs, e)
     if not E.bits:
         raise NonExactDivision("division by the zero polynomial")
     first, second = A.bits and D.bits, B.bits and C.bits
@@ -243,7 +173,7 @@ def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> 
         s, v = s2, v2
     else:
         return Poly()
-    nb = (max(s + 1, E.bits) + 2 + 16 + 63) // 64 * 8
+    nb = max(8, (max(s + 1, E.bits) + 2 + 16 + 7) // 8)
     w = 8 * nb
     num = mlen = 0
     if first:
@@ -269,8 +199,14 @@ def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> 
     except OverflowError:
         digits = None
     if digits is None or _bits(digits) + E.bits + min(qlen, E.length).bit_length() > w - 2:
-        return (a * d - b * c).exact_div(e)
+        return schoolbook_cross_quotient(a, d, b, c, e)
     return Poly([0] * -low + digits if low < 0 else digits)
+
+
+def schoolbook_cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
+    """(a*d - b*c) / e in schoolbook Poly arithmetic: :func:`cross_quotient`'s
+    fallback, and condensation's update on all-constant matrices."""
+    return (a * d - b * c).exact_div(e)
 
 
 def _decimal(n: int) -> str:
@@ -395,10 +331,6 @@ class Poly:
             return Poly()
         if len(a) == 1 and len(b) == 1:
             return Poly((a[0] * b[0],))
-        if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
-            out = _kronecker_mul(a, b)
-            if out is not None:
-                return Poly(out)
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -435,10 +367,6 @@ class Poly:
         blen = len(other.coeffs)
         lead = other.coeffs[-1]
         qlen = len(rem) - blen + 1
-        if min(qlen, blen) >= KRONECKER_MIN_LEN:
-            quot = _kronecker_quotient(self, other)
-            if quot is not None:
-                return Poly(quot)
         quot = [0] * qlen
         for i in reversed(range(qlen)):
             c = rem[i + blen - 1]

@@ -347,10 +347,11 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
     No grid means the claim's default grid, an empty k or b list its default
     k or b values.  Axes the claim does not walk are cleared (m to [0, 0]),
     and m starts no lower than the walk does: 1 for the backward theorems,
-    else 0.  Raises ValueError for an unknown claim, a k outside the claim's
-    domain or a grid whose walk yields no cell (an empty m or n range, or an
-    m_min above every k for c12, which walks m <= k), before any determinant
-    is computed: each walk's first cell comes from a formula.
+    else 0.  Raises ValueError for an unknown claim, a k or b value listed
+    twice, a k outside the claim's domain or a grid whose walk yields no
+    cell (an empty m or n range, or an m_min above every k for c12, which
+    walks m <= k), before any determinant is computed: each walk's first
+    cell comes from a formula.
     """
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
@@ -368,6 +369,9 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
         grid = replace(grid, m_min=0, m_max=0)
     else:
         grid = replace(grid, m_min=max(grid.m_min, 1 if claim.is_theorem else 0))
+    for axis, values in (("k", grid.k_list), ("b", grid.b_list)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"claim {claim_id} lists a {axis} value more than once: {list(values)}")
     if claim.k_domain is not None:
         low, high = claim.k_domain
         for k in grid.k_list:

@@ -155,10 +155,11 @@ def test_det_json_includes_engine_and_spec(capsys):
 
 
 def test_det_forced_condensation_can_fail(capsys):
-    code, _, err = run(capsys, "det", "--family", "catalan", "--shift", "-3", "--size", "4",
-                       "--engine", "condensation")
-    assert code == EXIT_ERROR
-    assert "error:" in err
+    for family, size in (("catalan", "4"), ("narayana-c", "6"), ("narayana-b", "4")):
+        code, _, err = run(capsys, "det", "--family", family, "--shift", "-3", "--size", size,
+                           "--engine", "condensation")
+        assert code == EXIT_ERROR
+        assert "error: zero interior minor while condensing" in err
 
 
 def test_det_forced_cofactor_guard(capsys):
@@ -293,6 +294,9 @@ def test_verify_empty_grid_is_usage_error(argv, shown, capsys):
     ("table", "--family", "catalan", "--shift", "2", "--shift-max", "1", "--n-max", "3"),
     ("det", "--family", "conv", "--shift", "0", "--size", "2"),
     ("verify", "t1", "--n-max", "-1"),
+    # A repeated k or b value would walk, count and print its cells twice.
+    ("verify", "t6", "--b", "1,1", "--m-max", "1", "--n-max", "2"),
+    ("verify", "c11", "--k", "2,2", "--n-max", "2", "--format", "csv"),
 ])
 def test_runner_usage_error_prints_the_subcommand_usage(argv, capsys):
     code, out, err = run(capsys, *argv)

@@ -3,8 +3,9 @@
 The kernel ``ring.cross_quotient`` computes each update (a*d - b*c) / e as
 one packed big-int expression.  It is checked here against a reference
 elimination written over plain ``Poly`` operations, directly on exact and
-inexact quotients, and, for whole Narayana determinants, against integer
-elimination at enough evaluation points to fix the polynomial.
+inexact quotients, and, for whole Narayana determinants from elimination,
+condensation and the recursion, against integer elimination at enough
+evaluation points to fix the polynomial.
 """
 
 import random
@@ -12,7 +13,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hankelshift import HankelSpec, NarayanaB, NarayanaC, Poly, build, det, det_bareiss, det_cofactor
+from hankelshift import (HankelSpec, NarayanaB, NarayanaC, Poly, build, det, det_bareiss,
+                         det_cofactor, det_condensation, narayana_forward_det_recursive)
 from hankelshift import hankel, ring
 from hankelshift.errors import NonExactDivision
 from hankelshift.hankel import BAREISS, CONDENSATION, Matrix, _poly_pivots
@@ -104,9 +106,11 @@ def test_cross_quotient_raises_on_a_non_multiple():
 
 
 def test_cross_quotient_falls_back_when_the_digit_bound_fails(monkeypatch):
-    # euler = (1 - t)^n * factorial has coefficients of a few bits, so the
-    # slots sized for this entry are one 64-bit word, and the quotient's
-    # 153-bit coefficients cannot pass the digit bound there.
+    # euler = (1 - t)^n * factorial has coefficients of a few bits.  Divided
+    # by binom, the slots sized for this entry are one 64-bit word, and the
+    # quotient's 153-bit coefficients cannot pass the digit bound there;
+    # divided by factorial, the slots fit the divisor but not the divisor's
+    # bits plus the quotient's.
     n = 40
     euler, factorial = Poly.const(1), Poly.const(1)
     for j in range(1, n + 1):
@@ -118,8 +122,10 @@ def test_cross_quotient_falls_back_when_the_digit_bound_fails(monkeypatch):
     calls = []
     exact_div = Poly.exact_div
     monkeypatch.setattr(Poly, "exact_div", lambda a, b: calls.append(b) or exact_div(a, b))
-    assert cross_quotient({}, euler, Poly.const(1), Poly(), Poly(), binom) == factorial
-    assert calls == [binom]
+    for divisor, quotient in ((binom, factorial), (factorial, binom)):
+        calls.clear()
+        assert cross_quotient({}, euler, Poly.const(1), Poly(), Poly(), divisor) == quotient
+        assert calls == [divisor]
     with pytest.raises(NonExactDivision):
         cross_quotient({}, euler + 1, Poly.const(1), Poly(), Poly(), binom)
 
@@ -141,12 +147,19 @@ def row_degree_bound(matrix):
 
 def test_narayana_determinants_match_integer_elimination_at_enough_points():
     # det(A)(c) = det(A(c)); both sides have degree <= D, so D + 1 points fix det(A).
+    # Integer elimination never packs a polynomial, so this audits every
+    # producer that runs the kernel: polynomial elimination, the Narayana
+    # recursion (its (m, n) is the forward narayana-c spec) and condensation.
     rng = random.Random(2024)
     specs = [HankelSpec(rng.choice((NarayanaC(), NarayanaB())), rng.randint(-4, 4),
                         rng.randint(10, 14)) for _ in range(4)]
-    for spec in specs:
+    produced = [(spec, det_bareiss(build(spec))) for spec in specs]
+    produced += [(HankelSpec(NarayanaC(), m, n), narayana_forward_det_recursive(m, n))
+                 for m, n in ((0, 10), (2, 7), (4, 10))]
+    produced += [(spec, det_condensation(build(spec)))
+                 for spec in (HankelSpec(NarayanaC(), 2, 10), HankelSpec(NarayanaB(), 1, 9))]
+    for spec, value in produced:
         matrix = build(spec)
-        value = det_bareiss(matrix)
         bound = row_degree_bound(matrix)
         assert len(value.coeffs) - 1 <= bound
         for point in range(-(bound // 2), bound - bound // 2 + 1):

@@ -1,6 +1,5 @@
 """Polynomial, series and binomial kernel tests."""
 
-import math
 from contextlib import contextmanager
 
 import pytest
@@ -73,19 +72,7 @@ def test_poly_mul_div_round_trip(a, b):
     assert (a * b).exact_div(b) == a
 
 
-# -- Kronecker substitution against the schoolbook loops -------------------
-
-
-@contextmanager
-def crossover(min_len):
-    """Run with ring.KRONECKER_MIN_LEN set: 2 packs every operation without a
-    constant factor, math.inf packs none."""
-    saved = ring.KRONECKER_MIN_LEN
-    ring.KRONECKER_MIN_LEN = min_len
-    try:
-        yield
-    finally:
-        ring.KRONECKER_MIN_LEN = saved
+# -- the packed update kernel against the schoolbook loops -----------------
 
 
 def slot_edges(nb):
@@ -110,9 +97,22 @@ def dense_polys(min_len):
                      nonzero_wide).map(lambda t: Poly([0] * t[0] + t[1] + [t[2]]))
 
 
-# Lengths 1-40 fall on both sides of KRONECKER_MIN_LEN; long_polys are above it.
+# Lengths 1-40, and lengths 16-40, whose packs span many slots.
 wide_polys = dense_polys(1)
-long_polys = dense_polys(ring.KRONECKER_MIN_LEN)
+long_polys = dense_polys(16)
+ZERO, ONE = Poly(), Poly.const(1)
+
+
+@contextmanager
+def counting_fallbacks():
+    """Count the entries cross_quotient leaves to its schoolbook fallback."""
+    calls = []
+    fallback = ring.schoolbook_cross_quotient
+    ring.schoolbook_cross_quotient = lambda *args: calls.append(args) or fallback(*args)
+    try:
+        yield calls
+    finally:
+        ring.schoolbook_cross_quotient = fallback
 
 
 @settings(deadline=None)
@@ -135,72 +135,49 @@ def test_pack_unpack_round_trip_at_slot_edges(nb_digits):
 
 @settings(deadline=None)
 @given(st.one_of(wide_polys, long_polys), st.one_of(wide_polys, long_polys))
-def test_kronecker_product_matches_schoolbook(a, b):
-    with crossover(math.inf):
-        expected = a * b
-    with crossover(2):
-        assert a * b == expected
-    assert a * b == expected
-    packed = ring._kronecker_mul(a.coeffs, b.coeffs) if a and b else None
-    assert packed is None or packed == list(expected.coeffs)
+def test_cross_quotient_product_matches_schoolbook(a, b):
+    # a*b as (a, b, 0, 0, 1) and as (0, 0, a, b, -1); the slots always hold a
+    # product's digits, so neither entry falls back.
+    with counting_fallbacks() as fallbacks:
+        assert ring.cross_quotient({}, a, b, ZERO, ZERO, ONE) == a * b
+        assert ring.cross_quotient({}, ZERO, ZERO, a, b, -ONE) == a * b
+    assert fallbacks == []
 
 
 @settings(deadline=None)
 @given(st.one_of(wide_polys, long_polys), st.one_of(wide_polys, long_polys))
-def test_kronecker_quotient_matches_schoolbook(q, b):
-    with crossover(math.inf):
-        a = q * b
-        assert a.exact_div(b) == q
-    with crossover(2):
-        assert a.exact_div(b) == q
+def test_cross_quotient_exact_quotient_matches_schoolbook(q, b):
+    a = q * b
     assert a.exact_div(b) == q
+    assert ring.cross_quotient({}, a, ONE, ZERO, ZERO, b) == q
 
 
 @settings(deadline=None)
 @given(st.one_of(wide_polys, long_polys), long_polys, wide_polys)
-def test_kronecker_rejects_a_non_multiple(q, b, e):
+def test_cross_quotient_rejects_a_non_multiple(q, b, e):
     # deg e < deg b, so e is a nonzero remainder of q*b + e modulo b; e keeps
     # b's power of t, so that packing, not the valuation, has to find it.
     vb = ring._valuation(b.coeffs)
     e = Poly(((0,) * vb + e.coeffs)[:len(b.coeffs) - 1]) or Poly.monomial(min(vb, len(b.coeffs) - 2))
     a = q * b + e
-    for min_len in (math.inf, 2, ring.KRONECKER_MIN_LEN):
-        with crossover(min_len), pytest.raises(NonExactDivision):
-            a.exact_div(b)
-
-
-def test_kronecker_quotient_slots_cover_a_divisor_wider_than_the_dividend():
-    # q = prod (1 - t^j) and b = prod (1 + t^j + ... + t^(99j)) over j = 1..5,
-    # so a = q*b = prod (1 - t^(100j)): b's coefficients reach 2^24, a's are +-1.
-    q, b, a = Poly.const(1), Poly.const(1), Poly.const(1)
-    for j in range(1, 6):
-        q = q * Poly.monomial(j, -1) + q
-        b = b * Poly([0 if i % j else 1 for i in range(99 * j + 1)])
-        a = a * Poly.monomial(100 * j, -1) + a
-    qlen = len(q.coeffs)
-    assert qlen >= ring.KRONECKER_MIN_LEN
-    # Slots sized from the dividend alone could not hold the divisor.
-    assert ring._bits(b.coeffs) > 8 * ((ring._bits(a.coeffs) + qlen.bit_length() + 16) // 8)
-    assert ring._kronecker_quotient(a, b) == list(q.coeffs)
-    assert a.exact_div(b) == q
-
-
-def test_kronecker_quotient_outside_the_digit_bound_falls_back_to_schoolbook():
-    n = 40
-    euler = Poly.const(1)
-    factorial = Poly.const(1)
-    for j in range(1, n + 1):
-        euler = euler * Poly.monomial(j, -1) + euler      # times (1 - t^j)
-        factorial = factorial * Poly((1,) * j)            # times (1 + ... + t^(j-1))
-    binom = Poly([binomial(n, i) * (-1) ** i for i in range(n + 1)])  # (1 - t)^n
-    # euler == binom * factorial, with far smaller coefficients than either factor,
-    # so neither quotient's digits pass the bound and the schoolbook loop decides.
-    for divisor, quotient in ((factorial, binom), (binom, factorial)):
-        assert min(len(quotient.coeffs), len(divisor.coeffs)) >= ring.KRONECKER_MIN_LEN
-        assert ring._kronecker_quotient(euler, divisor) is None
-        assert euler.exact_div(divisor) == quotient
     with pytest.raises(NonExactDivision):
-        (euler + 1).exact_div(binom)
+        a.exact_div(b)
+    with pytest.raises(NonExactDivision):
+        ring.cross_quotient({}, a, ONE, ZERO, ZERO, b)
+
+
+def test_cross_quotient_slots_cover_a_divisor_wider_than_the_dividend():
+    # q = (1 - t)^12 and b = (1 + t + ... + t^99)^12, so a = q*b = (1 - t^100)^12:
+    # b's coefficients reach 2^71, a's and q's stay below 2^10.
+    q = Poly((1, -1)) ** 12
+    b = Poly((1,) * 100) ** 12
+    a = (Poly.monomial(100, -1) + 1) ** 12
+    # One 64-bit word covers the numerator's slot bound with its slack, not the divisor.
+    assert ring._bits(b.coeffs) >= 64 > ring._bits(a.coeffs) + 3 + 18
+    with counting_fallbacks() as fallbacks:
+        assert ring.cross_quotient({}, a, ONE, ZERO, ZERO, b) == q
+    assert fallbacks == []
+    assert a.exact_div(b) == q
 
 
 @given(polys, polys)
