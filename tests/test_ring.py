@@ -180,6 +180,25 @@ def test_cross_quotient_slots_cover_a_divisor_wider_than_the_dividend():
     assert a.exact_div(b) == q
 
 
+def test_kronecker_quotient_outside_the_digit_bound_falls_back_to_schoolbook():
+    n = 40
+    euler = Poly.const(1)
+    factorial = Poly.const(1)
+    for j in range(1, n + 1):
+        euler = euler * Poly.monomial(j, -1) + euler      # times (1 - t^j)
+        factorial = factorial * Poly((1,) * j)            # times (1 + ... + t^(j-1))
+    binom = Poly([binomial(n, i) * (-1) ** i for i in range(n + 1)])  # (1 - t)^n
+    # euler == binom * factorial, with far smaller coefficients than either factor,
+    # so neither packed quotient's digits pass the bound and the schoolbook loop decides.
+    for divisor, quotient in ((factorial, binom), (binom, factorial)):
+        with counting_fallbacks() as fallbacks:
+            assert ring.cross_quotient({}, euler, ONE, ZERO, ZERO, divisor) == quotient
+        assert len(fallbacks) == 1
+        assert euler.exact_div(divisor) == quotient
+    with pytest.raises(NonExactDivision):
+        (euler + 1).exact_div(binom)
+
+
 @given(polys, polys)
 def test_poly_degree_additive(a, b):
     if a.is_zero or b.is_zero:
