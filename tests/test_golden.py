@@ -48,6 +48,12 @@ COMMANDS = (
         "det --family narayana-b --shift 3 --size 13 --format text",
         "table --family narayana-c --shift -4 --shift-max 4 --n-max 12 --format csv",
     ]
+    # Rows with interior runs of one, two and three vanishing minors at sizes
+    # past 25.
+    + [
+        "table --family conv --k 7 --shift -6 --shift-max 2 --n-max 40 --format csv",
+        "table --family m-numbers --b -1 --shift 1 --shift-max 7 --n-max 40 --format text",
+    ]
     + [f"verify {c}" for c in CLAIMS]
     + [f"verify {c} --n-max 6 --format {f}" for c in CLAIMS for f in FORMATS]
     + [
