@@ -5,11 +5,15 @@ matrix, leaving a triangle of zeros.  Those zeros routinely break the
 condensation engine (it needs nonzero interior minors), which is exactly
 why the package keeps three independent engines and cross-checks them.
 Whole rows d(0..N) at one shift come from a single elimination, with the
-zero-prefixed rows reversed first so that no pivot starts at zero.
+zero-prefixed rows reversed first so that no pivot starts at zero.  A
+vanishing minor inside a row, as in the Catalan convolution powers, opens a
+look-ahead window: the elimination swaps rows only inside the next block
+whose minor is nonzero and goes on from there.
 """
 
 from hankelshift import (
     Catalan,
+    ConvCatalan,
     HankelSpec,
     NarayanaC,
     build,
@@ -43,12 +47,14 @@ for shift in (2, 0, -1, -3):
 
 print()
 print("whole backward rows from one elimination each (leading minors),")
-print("reproducing the known determinant tables:")
-for shift in (-1, -2, -3):
-    row = leading_minors(HankelSpec(Catalan(), shift, 9))
-    cells = [det(HankelSpec(Catalan(), shift, n)).value for n in range(10)]
+print("reproducing the known determinant tables; the conv(k=5) row has runs")
+print("of vanishing minors past its zero triangle, each crossed by one window:")
+for family, shift, size in ((Catalan(), -1, 9), (Catalan(), -2, 9), (Catalan(), -3, 9),
+                            (ConvCatalan(5), -2, 14)):
+    row = leading_minors(HankelSpec(family, shift, size))
+    cells = [det(HankelSpec(family, shift, n)).value for n in range(size + 1)]
     mark = "" if row == cells else "   MISMATCH with per-cell det"
-    print(f"  shift {shift}: {', '.join(str(v) for v in row)}{mark}")
+    print(f"  {family.label}, shift {shift}: {', '.join(str(v) for v in row)}{mark}")
 
 print()
 print("polynomial entries work the same way (Narayana family, shift -1):")

@@ -18,8 +18,15 @@ The default dispatch runs polynomial matrices on elimination and tries
 condensation first on integer ones.
 
 Engines never approximate: any disagreement between them is a bug and is
-raised loudly by :func:`cross_check`.  :func:`leading_minors` reads a whole
-row d(0..N) off the pivots of one elimination.
+raised loudly by :func:`cross_check`.
+
+:func:`leading_minors` reads a whole row d(0..N) off the pivots of one
+elimination.  By Sylvester's identity the state after k steps is a matrix
+of bordered minors whose leading j x j block has determinant
+d(k)^(j-1) d(k+j), so a vanishing d(k+1) is stepped over by a look-ahead
+window: its width is the least j with a nonsingular block, and swapping
+rows only inside it leaves the pivot rows of every later step equal to the
+leading rows, so each later pivot is again a leading minor up to sign.
 """
 
 from __future__ import annotations
@@ -149,30 +156,48 @@ T = TypeVar("T")
 
 
 def _eliminate(grid: list[list[T]], one: T, zero: T,
-               step: Callable[[], Callable[[T, T, T, T, T], T]]) -> Iterator[T]:
+               step: Callable[[], Callable[[T, T, T, T, T], T]],
+               look_ahead: bool = False) -> Iterator[T]:
     """Fraction-free elimination over any exact ring, in place.
 
     ``step()`` gives the entry function of one elimination step, which maps
     (pivot, a_ij, a_ik, a_kj, previous pivot) to the exact quotient
-    (pivot*a_ij - a_ik*a_kj) / previous pivot.  Yields the pivot of each
-    step as the step finds it and, last, the determinant.  Rows are swapped
-    only past a zero pivot, so the values up to and including the first zero
-    are the leading principal minors d(1), d(2), ... of the grid as given.
+    (pivot*a_ij - a_ik*a_kj) / previous pivot.  The two callers differ only
+    in the rows a zero pivot may be swapped with.
+
+    By default it is swapped with the first row below it whose entry in the
+    pivot column is nonzero.  The values yielded are the pivot of each step
+    as the step finds it and, last, the determinant, so the values up to
+    and including the first zero are the leading principal minors d(1),
+    d(2), ... of the grid as given.
+
+    With ``look_ahead`` a zero pivot opens a window (:func:`_window_end`)
+    and is swapped only with rows inside it, and the values yielded are
+    d(1), ..., d(n) for every size; the window's interior minors are 0.
+    Stops after yielding 0 when no later minor is nonzero.
     """
     n = len(grid)
     sign = 1
     prev = one
+    end = 0 if look_ahead else n
     for k in range(n - 1):
-        yield grid[k][k]
-        if grid[k][k] == zero:
-            for r in range(k + 1, n):
-                if grid[r][k] != zero:
-                    grid[k], grid[r] = grid[r], grid[k]
-                    sign = -sign
-                    break
-            else:
+        found = grid[k][k]
+        if found == zero:
+            if k >= end:
+                end = _window_end(grid, k, one, zero, step)
+            r = next((r for r in range(k + 1, end) if grid[r][k] != zero), None)
+            if r is None:
+                yield zero
                 return
+            grid[k], grid[r] = grid[r], grid[k]
+            sign = -sign
         pivot = grid[k][k]
+        if not look_ahead:
+            yield found
+        elif k < end - 1:
+            yield zero
+        else:
+            yield pivot if sign == 1 else -pivot
         entry = step()
         row_k = grid[k]
         for i in range(k + 1, n):
@@ -184,6 +209,20 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
     yield result if sign == 1 else -result
 
 
+def _window_end(grid: list[list[T]], k: int, one: T, zero: T,
+                step: Callable[[], Callable[[T, T, T, T, T], T]]) -> int:
+    """k + w for the least w >= 2 whose leading w x w block of grid[k:, k:] is
+    nonsingular, or k + 1 when no such block exists.
+
+    Each block's determinant comes from the default elimination on a copy.
+    """
+    for end in range(k + 2, len(grid) + 1):
+        *_, value = _eliminate([row[k:end] for row in grid[k:end]], one, zero, step)
+        if value != zero:
+            return end
+    return k + 1
+
+
 def _int_cross_quotient(a: int, d: int, b: int, c: int, e: int) -> int:
     q, r = divmod(a * d - b * c, e)
     if r:
@@ -191,24 +230,26 @@ def _int_cross_quotient(a: int, d: int, b: int, c: int, e: int) -> int:
     return q
 
 
-def _int_pivots(matrix: Matrix) -> Iterator[Poly]:
+def _int_pivots(matrix: Matrix, look_ahead: bool = False) -> Iterator[Poly]:
     grid = [[e.constant for e in row] for row in matrix.rows]
-    return map(Poly.const, _eliminate(grid, 1, 0, lambda: _int_cross_quotient))
+    return map(Poly.const, _eliminate(grid, 1, 0, lambda: _int_cross_quotient, look_ahead))
 
 
-def _poly_pivots(matrix: Matrix) -> Iterator[Poly]:
+def _poly_pivots(matrix: Matrix, look_ahead: bool = False) -> Iterator[Poly]:
     """The pivots over Poly; each step's updates share one memo of packed operands."""
     grid = [list(row) for row in matrix.rows]
-    return _eliminate(grid, Poly.const(1), Poly(), lambda: partial(cross_quotient, {}))
+    return _eliminate(grid, Poly.const(1), Poly(), lambda: partial(cross_quotient, {}),
+                      look_ahead)
 
 
-def _pivots(matrix: Matrix) -> Iterator[Poly]:
+def _pivots(matrix: Matrix, look_ahead: bool = False) -> Iterator[Poly]:
     """The values of :func:`_eliminate` on a nonempty matrix.
 
     All-constant matrices take a pure-int path; the generic path runs the
     identical algorithm over Poly, and the two are tested bit-identical.
     """
-    return _int_pivots(matrix) if matrix.all_constant else _poly_pivots(matrix)
+    pivots = _int_pivots if matrix.all_constant else _poly_pivots
+    return pivots(matrix, look_ahead)
 
 
 def det_bareiss(matrix: Matrix) -> Poly:
@@ -222,28 +263,38 @@ def det_bareiss(matrix: Matrix) -> Poly:
 def leading_minors(spec: HankelSpec) -> list[Poly]:
     """[d(0), d(1), ..., d(size)] at ``spec.shift``, from one elimination of ``build(spec)``.
 
-    d(n) is the n-th leading principal minor of the size-N matrix, and
-    fraction-free elimination meets each one as a pivot.  When row 0 starts
-    with z zeros (z = -shift at every backward shift of the families here),
-    d(1) .. d(z) vanish and rows 0..z are reversed before eliminating: their
-    leading block becomes triangular with the first nonzero term on the
-    diagonal, and every larger leading block holds all of them, so its
-    pivot is (-1)^C(z+1,2) d(n).  Past the first vanishing minor the
-    elimination would swap rows, so each remaining size gets its own
-    :func:`det_bareiss`.
+    d(n) is the n-th leading principal minor of the size-N matrix A.  After
+    k steps of fraction-free elimination without swaps, the entries left
+    are the bordered minors G_ij = det A[{0..k-1, i}, {0..k-1, j}] and the
+    last pivot is d(k), so each pivot met is the next d(n).  Sylvester's
+    identity, on which the elimination rests, gives
+    det G[k:k+j, k:k+j] = d(k)^(j-1) d(k+j).
+
+    When d(k+1) = 0 the elimination looks ahead: the window width w is the
+    least j >= 2 with d(k+j) != 0, found from that identity, and the next w
+    steps swap rows only among rows k..k+w-1, where the nonsingular block
+    always holds a pivot.  Such swaps permute the rows {0..k+w-1} among
+    themselves, so when the window closes the pivot rows are again exactly
+    {0..k+w-1}, the pivot is d(k+w) up to the sign of the swaps, and every
+    later pivot is again some d(n) with that sign; d(k+1..k+w-1) are 0.  If
+    no d(k+j) is nonzero, neither is any remaining minor.
+
+    When row 0 starts with z zeros (z = -shift at every backward shift of
+    the families here), rows 0..z are reversed before eliminating, which is
+    cheaper than a window of width z + 1: their leading block becomes
+    triangular with the first nonzero term on the diagonal, and every
+    larger leading block holds all of them, so its pivot is
+    (-1)^C(z+1,2) d(n).
     """
     rows = build(spec).rows
     z = next((j for j in range(spec.size) if not rows[0][j].is_zero), spec.size)
     minors = [Poly.const(1)] + [Poly()] * z
     if z < spec.size:
         sign = sign_choose2(z + 1)
-        for pivot in islice(_pivots(Matrix(rows[z::-1] + rows[z + 1:])), z, None):
-            minors.append(pivot if sign == 1 else -pivot)
-            if pivot.is_zero:
-                break
-    for n in range(len(minors), spec.size + 1):
-        minors.append(det_bareiss(build(HankelSpec(spec.family, spec.shift, n))))
-    return minors
+        reversed_rows = Matrix(rows[z::-1] + rows[z + 1:])
+        for minor in islice(_pivots(reversed_rows, look_ahead=True), z, None):
+            minors.append(minor if sign == 1 else -minor)
+    return minors + [Poly()] * (spec.size + 1 - len(minors))
 
 
 def det_condensation(matrix: Matrix) -> Poly | None:

@@ -1,5 +1,6 @@
 """Whole determinant rows d(0..N) from one elimination, against per-size Bareiss."""
 
+import shlex
 from dataclasses import dataclass
 
 import pytest
@@ -23,6 +24,8 @@ from hankelshift.cli import EXIT_OK, main
 from hankelshift.hankel import leading_minors
 from hankelshift.ring import sign_choose2
 from hankelshift.sequences import SequenceFamily
+
+from test_golden import golden_path
 
 from anchors import (
     DET_CATALAN_BWD,
@@ -107,13 +110,60 @@ def test_a_term_at_index_minus_one_is_seen_in_the_band(changes):
         assert leading_minors(HankelSpec(family, shift, 12)) == per_size(family, shift, 12), shift
 
 
-def test_forward_catalan_table_runs_one_elimination_per_shift(monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError("table ran a per-cell determinant")
+# conv k = 3..8 at shifts -3..0 have runs of one to three vanishing minors
+# every few sizes; m-numbers b = -1 at shifts 3, 5 and 7 have one, early in
+# the row.  The goldens hold such rows up to size 40.
+WINDOW_ROWS = ([(ConvCatalan(k), shift, 24) for k in range(3, 9) for shift in range(-6, 2)]
+               + [(MNumbers(-1), shift, 32) for shift in range(1, 8)])
 
+
+@pytest.mark.parametrize("family, shift, size", WINDOW_ROWS,
+                         ids=lambda v: getattr(v, "label", str(v)))
+def test_rows_through_zero_windows_match_per_size_bareiss(family, shift, size):
+    assert leading_minors(HankelSpec(family, shift, size)) == per_size(family, shift, size)
+
+
+@pytest.mark.parametrize("k, shift, start, run", [(3, -1, 4, 1), (5, -2, 6, 2), (7, -3, 8, 3)])
+def test_first_window_of_each_width(k, shift, start, run):
+    """The first interior run of 1, 2 and 3 vanishing minors, a window of width run + 1."""
+    row = leading_minors(HankelSpec(ConvCatalan(k), shift, start + run + 1))
+    assert row == per_size(ConvCatalan(k), shift, start + run + 1)
+    assert row[start:start + run] == [0] * run
+    assert row[start - 1] != 0 and row[start + run] != 0
+
+
+@dataclass(frozen=True)
+class OnePlusTimes(SequenceFamily):
+    """(1 + t) conv_k(n): a polynomial family whose rows have zero windows."""
+
+    k: int
+
+    def term(self, n: int) -> Poly:
+        return Poly((1, 1)) * ConvCatalan(self.k).term(n)
+
+    @property
+    def label(self) -> str:
+        return f"(1+t)conv(k={self.k})"
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_polynomial_rows_through_zero_windows(k):
+    """det((1+t) A_n) = (1+t)^n det A_n, so each Poly row is the integer row scaled."""
+    for shift in range(-4, 2):
+        integers = leading_minors(HankelSpec(ConvCatalan(k), shift, 16))
+        row = leading_minors(HankelSpec(OnePlusTimes(k), shift, 16))
+        assert row == [Poly((1, 1)) ** n * v for n, v in enumerate(integers)], shift
+
+
+def refuse(*args):
+    raise AssertionError("table ran a per-cell determinant")
+
+
+def test_forward_catalan_table_runs_one_elimination_per_shift(monkeypatch, capsys):
     monkeypatch.setattr(hankel, "det_condensation", refuse)
     monkeypatch.setattr(hankel, "det", refuse)
-    # No forward Catalan minor vanishes, so no size falls back either.
+    # No forward Catalan minor vanishes, and a vanishing one opens a window
+    # inside the same elimination, so no size gets its own determinant.
     monkeypatch.setattr(hankel, "det_bareiss", refuse)
     code = main(["table", "--family", "catalan", "--shift", "0", "--shift-max", "4",
                  "--n-max", "9", "--format", "csv"])
@@ -121,3 +171,18 @@ def test_forward_catalan_table_runs_one_elimination_per_shift(monkeypatch, capsy
     rows = capsys.readouterr().out.splitlines()[1:]
     for m, line in zip(range(5), rows):
         assert line.split(",")[1:] == [str(v) for v in DET_CATALAN_FWD[m][:10]], m
+
+
+@pytest.mark.parametrize("command, shifts", [
+    ("table --family conv --k 5 --shift -6 --shift-max 6 --n-max 25 --format csv", 13),
+    ("table --family m-numbers --b -1 --shift 1 --shift-max 7 --n-max 40 --format text", 7),
+])
+def test_tables_with_zero_windows_build_one_matrix_per_shift(command, shifts, monkeypatch, capsys):
+    for name in ("det_condensation", "det", "det_bareiss"):
+        monkeypatch.setattr(hankel, name, refuse)
+    built = []
+    build = hankel.build
+    monkeypatch.setattr(hankel, "build", lambda spec: built.append(spec) or build(spec))
+    assert main(shlex.split(command)) == EXIT_OK
+    assert capsys.readouterr().out.encode("utf-8") == golden_path(command).read_bytes()
+    assert len(built) == shifts
