@@ -162,8 +162,9 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
 
     ``step()`` gives the entry function of one elimination step, which maps
     (pivot, a_ij, a_ik, a_kj, previous pivot) to the exact quotient
-    (pivot*a_ij - a_ik*a_kj) / previous pivot.  The two callers differ only
-    in the rows a zero pivot may be swapped with.
+    (pivot*a_ij - a_ik*a_kj) / previous pivot.  Its two modes differ only
+    in the rows a zero pivot may be swapped with, and so in what the values
+    yielded mean.
 
     By default it is swapped with the first row below it whose entry in the
     pivot column is nonzero.  The values yielded are the pivot of each step

@@ -21,7 +21,7 @@ from hankelshift import (
 )
 from hankelshift import hankel
 from hankelshift.cli import EXIT_OK, main
-from hankelshift.hankel import leading_minors
+from hankelshift.hankel import Matrix, _int_pivots, _poly_pivots, leading_minors
 from hankelshift.ring import sign_choose2
 from hankelshift.sequences import SequenceFamily
 
@@ -110,10 +110,10 @@ def test_a_term_at_index_minus_one_is_seen_in_the_band(changes):
         assert leading_minors(HankelSpec(family, shift, 12)) == per_size(family, shift, 12), shift
 
 
-# conv k = 3..8 at shifts -3..0 have runs of one to three vanishing minors
-# every few sizes; m-numbers b = -1 at shifts 3, 5 and 7 have one, early in
-# the row.  The goldens hold such rows up to size 40.
-WINDOW_ROWS = ([(ConvCatalan(k), shift, 24) for k in range(3, 9) for shift in range(-6, 2)]
+# Most conv rows at shifts -5..0 here have a run of one to three vanishing
+# minors every few sizes; m-numbers b = -1 at shifts 3, 5 and 7 have one,
+# early in the row.  The goldens hold such rows up to size 40.
+WINDOW_ROWS = ([(ConvCatalan(k), shift, 20) for k in range(3, 9) for shift in range(-6, 2)]
                + [(MNumbers(-1), shift, 32) for shift in range(1, 8)])
 
 
@@ -125,11 +125,32 @@ def test_rows_through_zero_windows_match_per_size_bareiss(family, shift, size):
 
 @pytest.mark.parametrize("k, shift, start, run", [(3, -1, 4, 1), (5, -2, 6, 2), (7, -3, 8, 3)])
 def test_first_window_of_each_width(k, shift, start, run):
-    """The first interior run of 1, 2 and 3 vanishing minors, a window of width run + 1."""
-    row = leading_minors(HankelSpec(ConvCatalan(k), shift, start + run + 1))
-    assert row == per_size(ConvCatalan(k), shift, start + run + 1)
+    """The first interior run of 1, 2 and 3 vanishing minors, a window of width
+    run + 1, also in rows that end inside it."""
+    row = per_size(ConvCatalan(k), shift, start + run + 1)
     assert row[start:start + run] == [0] * run
     assert row[start - 1] != 0 and row[start + run] != 0
+    for size in range(start - 1, start + run + 2):
+        assert leading_minors(HankelSpec(ConvCatalan(k), shift, size)) == row[:size + 1], size
+
+
+# Mostly zeros, so that leading minors vanish in runs and rows end inside
+# windows.  Not Hankel, because in a general matrix a zero pivot's column
+# can have a nonzero entry below its window, which a swap must not reach.
+sparse_matrices = st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sparse_matrices)
+def test_look_ahead_elimination_yields_every_leading_minor(rows):
+    matrix = Matrix([[Poly.const(v) for v in row] for row in rows])
+    expected = [det_bareiss(Matrix([row[:n] for row in matrix.rows[:n]]))
+                for n in range(1, matrix.n + 1)]
+    for pivots in (_int_pivots, _poly_pivots):
+        minors = list(pivots(matrix, look_ahead=True))
+        assert minors + [Poly()] * (matrix.n - len(minors)) == expected, pivots.__name__
 
 
 @dataclass(frozen=True)
