@@ -3,7 +3,7 @@
 The forward-shift Catalan determinant has the product formula implemented
 by :func:`forward_catalan_det`, valid at negative arguments as well, where
 it predicts the backward-shift determinants.  The Narayana analogue has no
-known product formula; it is pinned down by a three-term recursion
+known product formula; it is pinned down by the condensation recursion
 (:func:`narayana_forward_det_recursive`) and, independently, by an actual
 determinant (:func:`narayana_forward_det`).  Keeping both routes alive is
 deliberate: they cross-validate each other in the test suite.  As both
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import hankel
 from .errors import NonIntegerResult, UnsupportedFamily, ZeroDivisorEncountered
-from .ring import Poly, cross_quotient, sign_choose2
+from .ring import Poly, sign_choose2
 from .sequences import (
     Catalan,
     CentralBinomial,
@@ -77,37 +77,21 @@ def narayana_forward_det(m: int, n: int) -> Poly:
 
 
 def narayana_forward_det_recursive(m: int, n: int) -> Poly:
-    """Same values as :func:`narayana_forward_det`, from the condensation
-    recursion instead of a matrix.
-
-    Column 0 is all ones, column 1 holds the Narayana polynomials, and
-    column n at row m needs rows up to m + 2(n-1) of the earlier columns,
-    so the table is a wedge whose extent is known up front.  Every division
-    is exact and every divisor nonzero; a vanishing divisor would falsify
-    the nonvanishing of these determinants and is raised, never masked.
-    Each entry is one packed update, sharing one memo per column.
+    """Same values as :func:`narayana_forward_det`, from the Desnanot-Jacobi
+    recursion: the condensation wedge of :mod:`~hankelshift.hankel` on
+    N_m, ..., N_{m+2n-2}, called directly, so no determinant engine runs.
+    Every divisor is a forward Narayana determinant, so a vanishing one
+    would falsify their nonvanishing and is raised, never masked.
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    if n == 0:
-        return Poly.const(1)
-    top = m + 2 * (n - 1)
-    col_before = {r: Poly.const(1) for r in range(top + 3)}
-    col = {r: narayana_polynomial(r) for r in range(top + 3)}
-    for c in range(2, n + 1):
-        limit = m + 2 * (n - c)
-        nxt: dict[int, Poly] = {}
-        packs: dict = {}
-        for r in range(limit + 1):
-            divisor = col_before[r + 2]
-            if divisor.is_zero:
-                raise ZeroDivisorEncountered(
-                    f"table entry (m={r + 2}, n={c - 2}) vanished; "
-                    "the recursion requires it nonzero"
-                )
-            nxt[r] = cross_quotient(packs, col[r], col[r + 2], col[r + 1], col[r + 1], divisor)
-        col_before, col = col, nxt
-    return col[m]
+    value = hankel._condense([narayana_polynomial(r) for r in range(m, m + 2 * n - 1)])
+    if value is None:
+        raise ZeroDivisorEncountered(
+            f"a divisor of the recursion for (m={m}, n={n}) vanished; "
+            "the recursion requires every one nonzero"
+        )
+    return value
 
 
 @dataclass(frozen=True)

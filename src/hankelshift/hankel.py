@@ -7,11 +7,12 @@ are computed by
 
 * cofactor expansion (small sizes only; the independent oracle),
 * fraction-free elimination (the workhorse; every interior division exact),
-* iterated condensation (fails soft when an interior minor vanishes, which
+* condensation, a wedge over the band a_0..a_{2n-2} that the Narayana
+  recursion also runs (fails soft when an interior minor vanishes, which
   backward shifts make common).
 
-On a matrix with a nonconstant entry both fraction-free engines compute
-each exact update (a*d - b*c) / e as one packed big-int expression
+On a nonconstant input both fraction-free engines compute each exact
+update (a*d - b*c) / e as one packed big-int expression
 (:func:`~hankelshift.ring.cross_quotient`).
 
 The default dispatch runs polynomial matrices on elimination and tries
@@ -298,37 +299,42 @@ def leading_minors(spec: HankelSpec) -> list[Poly]:
     return minors + [Poly()] * (spec.size + 1 - len(minors))
 
 
-def det_condensation(matrix: Matrix) -> Poly | None:
-    """Exact determinant by iterated condensation, or None when blocked.
+def _condense(band: Sequence[Poly]) -> Poly | None:
+    """det(a_{i+j})_{i,j<n} of the band a_0..a_{2n-2} by condensation, or
+    None when a divisor vanishes.
 
-    Each layer entry is a contiguous minor of the original matrix, computed
-    as a 2x2 determinant of the previous layer divided by the interior of
-    the layer before that.  A zero interior minor makes the exact division
-    impossible; that is reported as unavailability, never as an error, and
-    is found before any update divides by it.  Updates pack (one memo per
-    layer) unless every entry is constant.
+    The contiguous minor H_r(c) = det(a_{r+i+j})_{i,j<c} depends only on r,
+    so layer c holds just H_r(c), r = 0..2(n-c), from Desnanot-Jacobi:
+    H_r(c) = (H_r(c-1) H_{r+2}(c-1) - H_{r+1}(c-1)^2) / H_{r+2}(c-2).  A zero
+    among a layer's divisors returns None before the layer is computed.
+    Updates pack (one memo per layer) unless every band entry is constant.
     """
-    n = matrix.n
-    if n == 0:
+    if not band:
         return Poly.const(1)
-    constant = matrix.all_constant
-    one = Poly.const(1)
-    prev = [[one] * (n + 1) for _ in range(n + 1)]
-    cur = [list(row) for row in matrix.rows]
-    while len(cur) > 1:
-        m = len(cur) - 1
+    constant = all(e.is_constant for e in band)
+    before, layer = [Poly.const(1)] * len(band), band
+    while len(layer) > 1:
+        if any(e.is_zero for e in before[2:len(layer)]):
+            return None
         entry = schoolbook_cross_quotient if constant else partial(cross_quotient, {})
-        nxt = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                divisor = prev[i + 1][j + 1]
-                if divisor.is_zero:
-                    return None
-                row.append(entry(cur[i][j], cur[i + 1][j + 1], cur[i][j + 1], cur[i + 1][j], divisor))
-            nxt.append(row)
-        prev, cur = cur, nxt
-    return cur[0][0]
+        before, layer = layer, [entry(layer[r], layer[r + 2], layer[r + 1], layer[r + 1], before[r + 2])
+                                for r in range(len(layer) - 2)]
+    return layer[0]
+
+
+def det_condensation(matrix: Matrix) -> Poly | None:
+    """Exact determinant of a Hankel matrix by condensation, or None when blocked.
+
+    None comes exactly when a divisor, the contiguous minor of size c at
+    anti-diagonal q for some 1 <= c <= n-2 and 2 <= q <= 2(n-c-1), is zero:
+    unavailability, never an error, found before any update divides by it.
+    Raises ValueError on a matrix that is not Hankel.
+    """
+    rows, n = matrix.rows, matrix.n
+    band = rows[0] + tuple(row[-1] for row in rows[1:]) if n else ()
+    if any(row != band[i:i + n] for i, row in enumerate(rows)):
+        raise ValueError("condensation takes a Hankel matrix")
+    return _condense(band)
 
 
 def det(spec: HankelSpec, engine: str = AUTO) -> DetResult:

@@ -117,11 +117,11 @@ class _Operand:
 def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     """The exact quotient (a*d - b*c) / e through one packed big-int expression.
 
-    This is the update of a fraction-free elimination step, of a layer of
-    condensation and of a column of the Narayana recursion.  ``packs`` is a
-    memo, keyed by ``id``, shared by the calls of one step, layer or column,
-    where operands recur; each entry holds its Poly, so no other object can
-    take over its ``id`` while the memo lives.
+    This is the update of a fraction-free elimination step and of a layer
+    of the condensation wedge, which the Narayana recursion also runs.
+    ``packs`` is a memo, keyed by ``id``, shared by the calls of one step
+    or layer, where operands recur; each entry holds its Poly, so no other
+    object can take over its ``id`` while the memo lives.
 
     Packing (:func:`_pack`) evaluates at t = 2^W, W = 8*nb, a ring
     homomorphism Z[t] -> Z; a packed polynomial whose coefficients all fit
@@ -205,7 +205,7 @@ def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> 
 
 def schoolbook_cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     """(a*d - b*c) / e in schoolbook Poly arithmetic: :func:`cross_quotient`'s
-    fallback, and condensation's update on all-constant matrices."""
+    fallback, and condensation's update on an all-constant band."""
     return (a * d - b * c).exact_div(e)
 
 

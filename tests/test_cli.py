@@ -347,6 +347,15 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys, target, reason):
     assert "Traceback" not in err
 
 
+def test_vanishing_recursion_divisor_exits_1_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(hankel, "_condense", lambda band: None)
+    code, out, err = run(capsys, "verify", "t8", "--n-max", "3")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: a divisor of the recursion")
+    assert "Traceback" not in err
+
+
 def test_byte_identical_reruns(capsys):
     args = ("verify", "c10", "--k", "1,2", "--m-max", "1", "--n-max", "6",
             "--format", "json")

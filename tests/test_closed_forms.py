@@ -18,7 +18,8 @@ from hankelshift import (
     predict_backward,
     reflection_check,
 )
-from hankelshift.errors import UnsupportedFamily
+from hankelshift import hankel
+from hankelshift.errors import UnsupportedFamily, ZeroDivisorEncountered
 from hankelshift.ring import sign_choose2
 from hankelshift.sequences import catalan_number
 
@@ -103,6 +104,25 @@ def test_narayana_routes_agree_and_specialize():
             by_rec = narayana_forward_det_recursive(m, n)
             assert by_det == by_rec, (m, n)
             assert by_det(1) == forward_catalan_det(m, n), (m, n)
+
+
+def test_recursion_raises_when_a_divisor_vanishes(monkeypatch):
+    monkeypatch.setattr(hankel, "_condense", lambda band: None)
+    with pytest.raises(ZeroDivisorEncountered, match=r"\(m=2, n=3\)"):
+        narayana_forward_det_recursive(2, 3)
+
+
+def test_narayana_predictions_run_no_determinant_engine(monkeypatch):
+    specs = [(family, m, n) for family in (NarayanaC(), NarayanaB())
+             for m in range(1, 4) for n in range(9)]
+    want = [det(HankelSpec(family, -m, n)).value for family, m, n in specs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prediction ran a determinant engine")
+
+    for name in ("det", "det_bareiss", "det_condensation", "det_cofactor", "build"):
+        monkeypatch.setattr(hankel, name, refuse)
+    assert [predict_backward(*spec).value for spec in specs] == want
 
 
 def test_predict_backward_examples():

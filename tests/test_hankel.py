@@ -109,6 +109,41 @@ def test_det_condensation_unavailable_on_zero_interior():
         assert det_condensation(build(HankelSpec(family, -3, size))) is None, (family, size)
 
 
+def test_det_condensation_is_none_exactly_when_a_divisor_vanishes():
+    # The divisors of the size-n wedge are the contiguous minors H_{shift+q}(c),
+    # 1 <= c <= n-2, 2 <= q <= 2(n-c-1); here each is its own elimination.
+    minors = {}
+
+    def minor(family, shift, size):
+        if (family, shift, size) not in minors:
+            minors[family, shift, size] = det_bareiss(build(HankelSpec(family, shift, size)))
+        return minors[family, shift, size]
+
+    outcomes = []
+    for family in FAMILIES:
+        sizes = range(8) if isinstance(family, (NarayanaC, NarayanaB)) else range(11)
+        for shift in range(-6, 7):
+            for n in sizes:
+                matrix = build(HankelSpec(family, shift, n))
+                blocked = any(minor(family, shift + q, c).is_zero
+                              for c in range(1, n - 1) for q in range(2, 2 * (n - c - 1) + 1))
+                value = det_condensation(matrix)
+                assert (value is None) == blocked, (family.label, shift, n)
+                assert blocked or value == det_bareiss(matrix), (family.label, shift, n)
+                outcomes.append(blocked)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_det_condensation_takes_hankel_matrices_only():
+    with pytest.raises(ValueError, match="Hankel"):
+        det_condensation(ints((1, 2), (3, 4)))
+    # row 0 and the last column fit the band 1..5, the interior does not
+    with pytest.raises(ValueError, match="Hankel"):
+        det_condensation(ints((1, 2, 3), (2, 9, 4), (3, 4, 5)))
+    assert det_condensation(Matrix([])) == 1
+    assert det_condensation(ints((7,))) == 7
+
+
 def test_det_dispatcher():
     assert det(HankelSpec(Catalan(), -2, 5)).value == -14
     for family in FAMILIES:
