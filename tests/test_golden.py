@@ -54,6 +54,16 @@ COMMANDS = (
         "table --family conv --k 7 --shift -6 --shift-max 2 --n-max 40 --format csv",
         "table --family m-numbers --b -1 --shift 1 --shift-max 7 --n-max 40 --format text",
     ]
+    # Deep term windows of every stepped family, so the recurrences are
+    # pinned far past the sizes the tables reach.
+    + [
+        "gen --family conv --k 4 --from 3990 --to 4000 --format csv",
+        "gen --family central-binomial --from 3995 --to 4000 --format text",
+        "gen --family m-numbers --b -2 --from 290 --to 300 --format json",
+        "gen --family m-numbers --b 3 --from 290 --to 300 --format text",
+        "gen --family narayana-c --from 195 --to 200 --format text",
+        "gen --family narayana-b --from 195 --to 200 --format csv",
+    ]
     + [f"verify {c}" for c in CLAIMS]
     + [f"verify {c} --n-max 6 --format {f}" for c in CLAIMS for f in FORMATS]
     + [
