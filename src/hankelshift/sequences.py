@@ -6,7 +6,15 @@ in ``t``; the purely numeric families return constant polynomials so that
 all downstream matrix code can stay ring generic (the determinant engines
 detect the constant case and run on plain ints).
 
-Term generators are memoized at module level, so family objects are cheap
+Every term comes from an exact stepping recurrence, never from a fresh
+binomial coefficient or sum.  A numeric family keeps its terms a_0, a_1,
+... in one shared prefix and extends it from its last term by
+a_i = num / den, where ``(num, den)`` is the family's step at i; a Narayana
+row steps along its coefficients the same way.  Every step's ``divmod`` is
+checked, so a step that leaves a remainder raises
+:class:`~hankelshift.errors.NonExactDivision` naming the family and the
+index instead of truncating.  On top of the prefixes the term functions are
+memoized with ``functools.lru_cache``, so family objects are cheap
 immutable values: two ``Catalan()`` instances share one cache.
 """
 
@@ -17,74 +25,114 @@ import threading
 from dataclasses import dataclass
 
 from .errors import NonExactDivision
-from .ring import DEFAULT_SERIES_ORDER, Poly, Series, binomial
+from .ring import DEFAULT_SERIES_ORDER, Poly, Series
 
 
-# C_0, C_1, ... as far as any call has needed them; the lock keeps two
-# threads from extending the list at once.
-_catalan_prefix = [1]
-_catalan_lock = threading.Lock()
+# Terms a_0, a_1, ... of each numeric family, keyed by its label, as far as
+# any call has needed them.  The lock is reentrant because the m-numbers
+# step reads Catalan numbers while its own prefix is being extended.
+_prefixes: dict[str, list[int]] = {}
+_prefix_lock = threading.RLock()
+
+
+def _extend(terms: list[int], stop: int, step, label: str, index: str = "n") -> list[int]:
+    """Append terms[i] = num / den, with ``(num, den) = step(i, terms[i-1])``,
+    until ``len(terms) == stop``; a division that leaves a remainder raises."""
+    for i in range(len(terms), stop):
+        num, den = step(i, terms[-1])
+        q, r = divmod(num, den)
+        if r:
+            raise NonExactDivision(f"{label} recurrence left a remainder at {index}={i}")
+        terms.append(q)
+    return terms
+
+
+def _stepped(label: str, n: int, step) -> int:
+    """a_n of the family ``label`` with a_0 = 1 and the given step, extending
+    its shared prefix from the last term computed so far.  One loop, so a
+    first request for a large n needs no deep call stack."""
+    if n < 0:
+        raise ValueError(f"{label} terms are defined for n >= 0")
+    with _prefix_lock:
+        return _extend(_prefixes.setdefault(label, [1]), n + 1, step, label)[n]
+
+
+def _catalan_step(i: int, prev: int) -> tuple[int, int]:
+    return prev * 2 * (2 * i - 1), i + 1
+
+
+def _catalan(n: int) -> int:
+    return _stepped("catalan", n, _catalan_step)
 
 
 @functools.lru_cache(maxsize=None)
 def catalan_number(n: int) -> int:
-    """n-th Catalan number via the ratio recurrence C_n = C_{n-1}*2(2n-1)/(n+1).
+    """n-th Catalan number via the ratio recurrence C_n = C_{n-1}*2(2n-1)/(n+1)."""
+    return _catalan(n)
 
-    Each step's division must be exact, which makes the recurrence
-    self-checking against coding mistakes.  The recurrence runs in one loop
-    from the last term computed so far, so a first request for a large n
-    needs no deep call stack.
-    """
-    if n < 0:
-        raise ValueError("catalan_number is defined for n >= 0")
-    prefix = _catalan_prefix
-    with _catalan_lock:
-        for i in range(len(prefix), n + 1):
-            q, r = divmod(prefix[-1] * 2 * (2 * i - 1), i + 1)
-            if r:
-                raise NonExactDivision(f"catalan recurrence left a remainder at n={i}")
-            prefix.append(q)
-    return prefix[n]
+
+def central_binomial(n: int) -> int:
+    """binom(2n, n) via the ratio recurrence a_n = a_{n-1}*2(2n-1)/n."""
+    return _stepped("central-binomial", n,
+                    lambda i, prev: (prev * 2 * (2 * i - 1), i))
 
 
 @functools.lru_cache(maxsize=None)
 def narayana_polynomial(n: int) -> Poly:
-    """Narayana polynomial: sum_k binom(n-1,k) binom(n,k) t^k / (k+1)."""
-    coeffs = []
-    for k in range(n + 1):
-        q, r = divmod(binomial(n - 1, k) * binomial(n, k), k + 1)
-        if r:
-            raise NonExactDivision(f"narayana coefficient (n={n}, k={k}) is not integral")
-        coeffs.append(q)
-    return Poly(coeffs)
+    """Narayana polynomial: sum_k binom(n-1,k) binom(n,k) t^k / (k+1).
+
+    Steps along the row by c_k = c_{k-1} (n-k)(n-k+1) / (k(k+1)) from
+    c_0 = 1; for n >= 1 the step at k = n gives the vanishing top
+    coefficient binom(n-1, n) = 0.
+    """
+    if n < 0:
+        raise ValueError("narayana_polynomial is defined for n >= 0")
+    return Poly(_extend([1], n + 1, lambda k, c: (c * (n - k) * (n - k + 1), k * (k + 1)),
+                        f"narayana-c row {n}", "k"))
 
 
 @functools.lru_cache(maxsize=None)
 def narayana_b_polynomial(n: int) -> Poly:
-    """Type B analogue: sum_k binom(n,k)^2 t^k."""
-    return Poly([binomial(n, k) ** 2 for k in range(n + 1)])
+    """Type B analogue: sum_k binom(n,k)^2 t^k.
+
+    Steps along the row by binom(n,k) = binom(n,k-1) (n-k+1) / k and squares.
+    """
+    if n < 0:
+        raise ValueError("narayana_b_polynomial is defined for n >= 0")
+    row = _extend([1], n + 1, lambda k, c: (c * (n - k + 1), k), f"narayana-b row {n}", "k")
+    return Poly([c * c for c in row])
 
 
 @functools.lru_cache(maxsize=None)
 def m_number(b: int, n: int) -> int:
-    """sum_k (binom(n+k,k) - binom(n+k,k-1)) b^(n-k); M_0 = Catalan."""
-    return sum(
-        (binomial(n + k, k) - binomial(n + k, k - 1)) * b ** (n - k)
-        for k in range(n + 1)
-    )
+    """M_n(b) = sum_k (binom(n+k,k) - binom(n+k,k-1)) b^(n-k); M(b=0) = Catalan.
+
+    The generating series is M = C / (1 - bxC), where C = 1 + xC^2 is the
+    Catalan series.  By xC^2 = C - 1,
+
+        (C - b)(1 - bxC) = C - b xC^2 - b + b^2 xC = C (1 - b + b^2 x),
+
+    and dividing by the unit 1 - bxC gives M (1 - b + b^2 x) = C - b.
+    Reading off x^n for n >= 1:
+
+        M_n = (C_n - b^2 M_{n-1}) / (1 - b),
+
+    from M_0 = 1, an exact division at every step.  At b = 1 the identity
+    reads x M = C - 1, so M_n = C_{n+1}.
+    """
+    if b == 1 and n >= 0:
+        return _catalan(n + 1)
+    return _stepped(f"m-numbers(b={b})", n,
+                    lambda i, prev: (_catalan(i) - b * b * prev, 1 - b))
 
 
 @functools.lru_cache(maxsize=None)
 def catalan_convolution(k: int, n: int) -> int:
-    """Coefficient of x^n in the k-th power of the Catalan series.
-
-    Uses the closed form binom(2n+k, n) * k / (2n+k); the division is
-    always exact and is checked.
-    """
-    q, r = divmod(binomial(2 * n + k, n) * k, 2 * n + k)
-    if r:
-        raise NonExactDivision(f"catalan convolution (k={k}, n={n}) is not integral")
-    return q
+    """Coefficient of x^n in the k-th power of the Catalan series,
+    binom(2n+k, n) k / (2n+k), via the ratio recurrence
+    a_n = a_{n-1} (2n+k-2)(2n+k-1) / (n(n+k))."""
+    return _stepped(f"conv(k={k})", n,
+                    lambda i, prev: (prev * (2 * i + k - 2) * (2 * i + k - 1), i * (i + k)))
 
 
 class SequenceFamily:
@@ -127,7 +175,7 @@ class CentralBinomial(SequenceFamily):
     """binom(2n, n): 1, 2, 6, 20, 70, ..."""
 
     def _term(self, n: int) -> Poly:
-        return Poly.const(binomial(2 * n, n))
+        return Poly.const(central_binomial(n))
 
     @property
     def label(self) -> str:

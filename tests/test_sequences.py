@@ -1,4 +1,9 @@
-"""Sequence family tests: term values, zero extension, series identities."""
+"""Sequence family tests: term values, zero extension, series identities,
+and the stepping recurrences against their defining formulas."""
+
+import math
+import sys
+import threading
 
 import pytest
 
@@ -12,8 +17,16 @@ from hankelshift import (
     Poly,
     Series,
 )
+from hankelshift import sequences
+from hankelshift.errors import NonExactDivision
 from hankelshift.ring import binomial
-from hankelshift.sequences import catalan_number
+from hankelshift.sequences import (
+    catalan_convolution,
+    catalan_number,
+    m_number,
+    narayana_b_polynomial,
+    narayana_polynomial,
+)
 
 from anchors import CATALAN, CENTRAL_BINOMIAL, CONV_POWERS, NARAYANA
 
@@ -151,3 +164,149 @@ def test_families_have_value_semantics():
     assert MNumbers(2) == MNumbers(2)
     assert MNumbers(2) != MNumbers(3)
     assert hash(ConvCatalan(4)) == hash(ConvCatalan(4))
+
+
+TERM_CACHES = (catalan_number, narayana_polynomial, narayana_b_polynomial,
+               m_number, catalan_convolution)
+
+
+@pytest.fixture
+def cold_terms(monkeypatch):
+    """Empty prefixes and term caches for the test; the caches are cleared
+    again afterwards, so later tests never see the test's values."""
+
+    def clear():
+        sequences._prefixes.clear()
+        for f in TERM_CACHES:
+            f.cache_clear()
+
+    monkeypatch.setattr(sequences, "_prefixes", {})
+    clear()
+    yield clear
+    clear()
+
+
+def test_m_numbers_match_the_ballot_sum():
+    # M_n(b) = sum_k B(n,k) b^(n-k) with ballot numbers
+    # B(n,k) = binom(n+k,k) - binom(n+k,k-1).
+    for n in range(301):
+        ballot = [math.comb(n + k, k) - (math.comb(n + k, k - 1) if k else 0)
+                  for k in range(n + 1)]
+        for b in range(-5, 6):
+            want = 0
+            for c in ballot:  # Horner in b, from b^n at k = 0 down to b^0 at k = n
+                want = want * b + c
+            assert m_number(b, n) == want, (b, n)
+
+
+def test_conv_catalan_matches_the_closed_form():
+    def closed(k, n):
+        q, r = divmod(math.comb(2 * n + k, n) * k, 2 * n + k)
+        assert r == 0
+        return q
+
+    for k in range(1, 9):
+        for n in range(301):
+            assert catalan_convolution(k, n) == closed(k, n), (k, n)
+        for n in (1000, 2047, 3333, 4200):
+            assert catalan_convolution(k, n) == closed(k, n), (k, n)
+
+
+def test_central_binomial_matches_comb():
+    fam = CentralBinomial()
+    for n in [*range(301), *range(301, 4201, 7), 4200]:
+        assert fam.term(n) == math.comb(2 * n, n), n
+
+
+def test_narayana_rows_match_the_binomial_products():
+    assert narayana_polynomial(0) == Poly.const(1)
+    assert narayana_b_polynomial(0) == Poly.const(1)
+    for n in range(301):
+        want_c = [binomial(n - 1, k) * binomial(n, k) // (k + 1) for k in range(n + 1)]
+        want_b = [math.comb(n, k) ** 2 for k in range(n + 1)]
+        assert narayana_polynomial(n) == Poly(want_c), n
+        assert narayana_b_polynomial(n) == Poly(want_b), n
+
+
+def test_terms_do_not_depend_on_the_order_of_requests(cold_terms):
+    # m-numbers read the Catalan prefix while extending their own, so the
+    # families are asked in opposite orders too.
+    families = [MNumbers(3), MNumbers(1), MNumbers(-2), Catalan(), CentralBinomial(),
+                ConvCatalan(4)]
+    small = range(0, 60, 7)
+
+    deep_first = {}
+    for fam in families:
+        deep_first[fam.label, 4000] = fam.term(4000)
+        for n in small:
+            deep_first[fam.label, n] = fam.term(n)
+
+    cold_terms()
+    shallow_first = {}
+    for fam in reversed(families):
+        for n in small:
+            shallow_first[fam.label, n] = fam.term(n)
+        shallow_first[fam.label, 4000] = fam.term(4000)
+
+    assert shallow_first == deep_first
+    assert deep_first["m-numbers(b=1)", 4000] == catalan_number(4001)
+
+
+def test_two_threads_extending_one_prefix_agree_with_a_sequential_run(cold_terms):
+    depth = 1500
+    sequential = [catalan_convolution(5, n) for n in range(depth + 1)]
+    sequential_m = [m_number(-3, n) for n in range(depth + 1)]
+    cold_terms()
+    # Switch threads as often as the interpreter allows, so the two walks
+    # interleave inside one extension.
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    barrier = threading.Barrier(2, timeout=30)
+    got = {}
+
+    def walk(name, order):
+        barrier.wait()
+        got[name] = {n: (catalan_convolution(5, n), m_number(-3, n)) for n in order}
+
+    threads = [
+        threading.Thread(target=walk, args=("up", range(depth + 1))),
+        threading.Thread(target=walk, args=("down", range(depth, -1, -1))),
+    ]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    for name in ("up", "down"):
+        assert [got[name][n] for n in range(depth + 1)] == list(zip(sequential, sequential_m))
+    assert sequences._prefixes["conv(k=5)"] == sequential
+
+
+def test_a_step_that_leaves_a_remainder_raises(cold_terms, monkeypatch):
+    step = sequences._catalan_step
+
+    def off_by_one(i, prev):
+        num, den = step(i, prev)
+        return num + (i == 7), den
+
+    monkeypatch.setattr(sequences, "_catalan_step", off_by_one)
+    assert catalan_number(6) == 132
+    with pytest.raises(NonExactDivision, match=r"catalan recurrence .* at n=7"):
+        catalan_number(7)
+    # The m-numbers step reads the Catalan numbers, so it fails the same way.
+    with pytest.raises(NonExactDivision, match=r"catalan recurrence .* at n=7"):
+        m_number(2, 10)
+    with pytest.raises(NonExactDivision, match=r"narayana-c row 9 recurrence .* at k=3"):
+        sequences._extend([1], 10, lambda k, c: (c * (9 - k) * (10 - k) + (k == 3),
+                                                  k * (k + 1)), "narayana-c row 9", "k")
+
+
+def test_negative_index_is_refused_below_the_families():
+    for call in (lambda: catalan_number(-1), lambda: m_number(1, -1), lambda: m_number(2, -1),
+                 lambda: catalan_convolution(3, -1), lambda: narayana_polynomial(-1),
+                 lambda: narayana_b_polynomial(-1)):
+        with pytest.raises(ValueError):
+            call()
