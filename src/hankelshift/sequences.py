@@ -61,14 +61,10 @@ def _catalan_step(i: int, prev: int) -> tuple[int, int]:
     return prev * 2 * (2 * i - 1), i + 1
 
 
-def _catalan(n: int) -> int:
-    return _stepped("catalan", n, _catalan_step)
-
-
 @functools.lru_cache(maxsize=None)
 def catalan_number(n: int) -> int:
     """n-th Catalan number via the ratio recurrence C_n = C_{n-1}*2(2n-1)/(n+1)."""
-    return _catalan(n)
+    return _stepped("catalan", n, _catalan_step)
 
 
 def central_binomial(n: int) -> int:
@@ -121,9 +117,9 @@ def m_number(b: int, n: int) -> int:
     reads x M = C - 1, so M_n = C_{n+1}.
     """
     if b == 1 and n >= 0:
-        return _catalan(n + 1)
+        return catalan_number(n + 1)
     return _stepped(f"m-numbers(b={b})", n,
-                    lambda i, prev: (_catalan(i) - b * b * prev, 1 - b))
+                    lambda i, prev: (catalan_number(i) - b * b * prev, 1 - b))
 
 
 @functools.lru_cache(maxsize=None)
