@@ -6,14 +6,17 @@ in ``t``; the purely numeric families return constant polynomials so that
 all downstream matrix code can stay ring generic (the determinant engines
 detect the constant case and run on plain ints).
 
-Every term comes from an exact stepping recurrence, never from a fresh
-binomial coefficient or sum.  A numeric family keeps its terms a_0, a_1,
-... in one shared prefix and extends it from its last term by
-a_i = num / den, where ``(num, den)`` is the family's step at i; a Narayana
-row steps along its coefficients the same way.  Every step's ``divmod`` is
-checked, so a step that leaves a remainder raises
+Terms come from exact stepping recurrences.  A numeric family keeps one
+shared run of consecutive terms a_s, a_{s+1}, ... and extends it from its
+last term by a_i = num / den, where ``(num, den)`` is the family's step at
+i, so a window of consecutive terms costs one small step per term.  Catalan
+numbers and convolution powers start a new run from their one-binomial
+closed form when a request lands below their run or far past it; the
+M-numbers, whose closed form is a sum of n+1 binomials, always step from
+a_0.  A Narayana row steps along its coefficients the same way.  Every
+division is checked, so one that leaves a remainder raises
 :class:`~hankelshift.errors.NonExactDivision` naming the family and the
-index instead of truncating.  On top of the prefixes the term functions are
+index instead of truncating.  On top of the runs the term functions are
 memoized with ``functools.lru_cache``, so family objects are cheap
 immutable values: two ``Catalan()`` instances share one cache.
 """
@@ -21,6 +24,7 @@ immutable values: two ``Catalan()`` instances share one cache.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -28,49 +32,66 @@ from .errors import NonExactDivision
 from .ring import DEFAULT_SERIES_ORDER, Poly, Series
 
 
-# Terms a_0, a_1, ... of each numeric family, keyed by its label, as far as
-# any call has needed them.  The lock is reentrant because the m-numbers
-# step reads Catalan numbers while its own prefix is being extended.
-_prefixes: dict[str, list[int]] = {}
-_prefix_lock = threading.RLock()
+# The run a_s, a_{s+1}, ... of each numeric family that calls have needed
+# most recently, as (s, terms), keyed by the family's label.  The lock is
+# reentrant because the m-numbers step reads Catalan numbers while its own
+# run is being extended.
+_runs: dict[str, tuple[int, list[int]]] = {}
+_run_lock = threading.RLock()
 
 
-def _extend(terms: list[int], stop: int, step, label: str, index: str = "n") -> list[int]:
-    """Append terms[i] = num / den, with ``(num, den) = step(i, terms[i-1])``,
-    until ``len(terms) == stop``; a division that leaves a remainder raises."""
-    for i in range(len(terms), stop):
+def _exact(num: int, den: int, label: str, index: str, i: int) -> int:
+    """num / den, or :class:`NonExactDivision` if it leaves a remainder."""
+    q, r = divmod(num, den)
+    if r:
+        raise NonExactDivision(f"{label} left a remainder at {index}={i}")
+    return q
+
+
+def _extend(terms: list[int], stop: int, step, label: str, index: str = "n",
+            start: int = 0) -> list[int]:
+    """Append a_i = num / den, with ``(num, den) = step(i, a_{i-1})``, to the
+    terms a_start, a_start+1, ... until they reach a_{stop-1}."""
+    for i in range(start + len(terms), stop):
         num, den = step(i, terms[-1])
-        q, r = divmod(num, den)
-        if r:
-            raise NonExactDivision(f"{label} recurrence left a remainder at {index}={i}")
-        terms.append(q)
+        terms.append(_exact(num, den, f"{label} recurrence", index, i))
     return terms
 
 
-def _stepped(label: str, n: int, step) -> int:
-    """a_n of the family ``label`` with a_0 = 1 and the given step, extending
-    its shared prefix from the last term computed so far.  One loop, so a
-    first request for a large n needs no deep call stack."""
+def _stepped(label: str, n: int, step, closed=None) -> int:
+    """a_n of the family ``label`` with a_0 = 1 and the given step.
+
+    The family's run is extended from its last term when n lies at most
+    n/8 terms past it, which covers every window of consecutive terms; one
+    loop, so a first request for a large n needs no deep call stack.  A
+    family with a closed form ``closed(n)`` starts a new run at n instead
+    when n lies below its run or further past it: ``math.comb(2n, n)``
+    costs about as much as n/8 steps at depth n, and a run started there
+    holds no terms below n.
+    """
     if n < 0:
         raise ValueError(f"{label} terms are defined for n >= 0")
-    with _prefix_lock:
-        return _extend(_prefixes.setdefault(label, [1]), n + 1, step, label)[n]
+    with _run_lock:
+        start, terms = _runs.get(label, (0, [1]))
+        if closed is not None and not start <= n <= start + len(terms) + n // 8:
+            start, terms = n, [closed(n)]
+        _runs[label] = (start, terms)
+        return _extend(terms, n + 1, step, label, start=start)[n - start]
 
 
 def _catalan_step(i: int, prev: int) -> tuple[int, int]:
     return prev * 2 * (2 * i - 1), i + 1
 
 
+def _catalan_closed(n: int) -> int:
+    return _exact(math.comb(2 * n, n), n + 1, "catalan closed form", "n", n)
+
+
 @functools.lru_cache(maxsize=None)
 def catalan_number(n: int) -> int:
-    """n-th Catalan number via the ratio recurrence C_n = C_{n-1}*2(2n-1)/(n+1)."""
-    return _stepped("catalan", n, _catalan_step)
-
-
-def central_binomial(n: int) -> int:
-    """binom(2n, n) via the ratio recurrence a_n = a_{n-1}*2(2n-1)/n."""
-    return _stepped("central-binomial", n,
-                    lambda i, prev: (prev * 2 * (2 * i - 1), i))
+    """n-th Catalan number via the ratio recurrence C_n = C_{n-1}*2(2n-1)/(n+1),
+    or binom(2n, n)/(n+1) to start a run far from the last one."""
+    return _stepped("catalan", n, _catalan_step, _catalan_closed)
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,9 +147,13 @@ def m_number(b: int, n: int) -> int:
 def catalan_convolution(k: int, n: int) -> int:
     """Coefficient of x^n in the k-th power of the Catalan series,
     binom(2n+k, n) k / (2n+k), via the ratio recurrence
-    a_n = a_{n-1} (2n+k-2)(2n+k-1) / (n(n+k))."""
-    return _stepped(f"conv(k={k})", n,
-                    lambda i, prev: (prev * (2 * i + k - 2) * (2 * i + k - 1), i * (i + k)))
+    a_n = a_{n-1} (2n+k-2)(2n+k-1) / (n(n+k)), or the closed form to start
+    a run far from the last one."""
+    label = f"conv(k={k})"
+    return _stepped(label, n,
+                    lambda i, prev: (prev * (2 * i + k - 2) * (2 * i + k - 1), i * (i + k)),
+                    lambda i: _exact(math.comb(2 * i + k, i) * k, 2 * i + k,
+                                     f"{label} closed form", "n", i))
 
 
 class SequenceFamily:
@@ -171,7 +196,7 @@ class CentralBinomial(SequenceFamily):
     """binom(2n, n): 1, 2, 6, 20, 70, ..."""
 
     def _term(self, n: int) -> Poly:
-        return Poly.const(central_binomial(n))
+        return Poly.const((n + 1) * catalan_number(n))
 
     @property
     def label(self) -> str:

@@ -172,15 +172,15 @@ TERM_CACHES = (catalan_number, narayana_polynomial, narayana_b_polynomial,
 
 @pytest.fixture
 def cold_terms(monkeypatch):
-    """Empty prefixes and term caches for the test; the caches are cleared
+    """Empty runs and term caches for the test; the caches are cleared
     again afterwards, so later tests never see the test's values."""
 
     def clear():
-        sequences._prefixes.clear()
+        sequences._runs.clear()
         for f in TERM_CACHES:
             f.cache_clear()
 
-    monkeypatch.setattr(sequences, "_prefixes", {})
+    monkeypatch.setattr(sequences, "_runs", {})
     clear()
     yield clear
     clear()
@@ -229,8 +229,8 @@ def test_narayana_rows_match_the_binomial_products():
 
 
 def test_terms_do_not_depend_on_the_order_of_requests(cold_terms):
-    # m-numbers read the Catalan prefix while extending their own, so the
-    # families are asked in opposite orders too.
+    # m-numbers read the Catalan numbers while extending their own run, so
+    # the families are asked in opposite orders too.
     families = [MNumbers(3), MNumbers(1), MNumbers(-2), Catalan(), CentralBinomial(),
                 ConvCatalan(4)]
     small = range(0, 60, 7)
@@ -252,7 +252,7 @@ def test_terms_do_not_depend_on_the_order_of_requests(cold_terms):
     assert deep_first["m-numbers(b=1)", 4000] == catalan_number(4001)
 
 
-def test_two_threads_extending_one_prefix_agree_with_a_sequential_run(cold_terms):
+def test_two_threads_extending_one_run_agree_with_a_sequential_run(cold_terms):
     depth = 1500
     sequential = [catalan_convolution(5, n) for n in range(depth + 1)]
     sequential_m = [m_number(-3, n) for n in range(depth + 1)]
@@ -270,7 +270,7 @@ def test_two_threads_extending_one_prefix_agree_with_a_sequential_run(cold_terms
 
     threads = [
         threading.Thread(target=walk, args=("up", range(depth + 1))),
-        threading.Thread(target=walk, args=("down", range(depth, -1, -1))),
+        threading.Thread(target=walk, args=("leap", range(0, depth + 1, 5))),
     ]
     try:
         for t in threads:
@@ -280,9 +280,33 @@ def test_two_threads_extending_one_prefix_agree_with_a_sequential_run(cold_terms
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
-    for name in ("up", "down"):
-        assert [got[name][n] for n in range(depth + 1)] == list(zip(sequential, sequential_m))
-    assert sequences._prefixes["conv(k=5)"] == sequential
+    for name in ("up", "leap"):
+        assert all(got[name][n] == (sequential[n], sequential_m[n]) for n in got[name])
+    assert len(got["up"]) == depth + 1
+    # Past the first few terms both walks extend the same runs; the
+    # m-numbers run always starts at a_0.
+    start, run = sequences._runs["conv(k=5)"]
+    assert run == sequential[start:start + len(run)]
+    assert sequences._runs["m-numbers(b=-3)"] == (0, sequential_m)
+
+
+def test_a_window_extends_a_run_and_a_far_request_starts_one(cold_terms):
+    deep = [catalan_convolution(4, n) for n in range(4000, 4011)]
+    assert sequences._runs["conv(k=4)"] == (4000, deep)
+    catalan_convolution(4, 4011 + 4011 // 8)  # just within reach: stepped
+    assert sequences._runs["conv(k=4)"][0] == 4000
+    catalan_convolution(4, 6000)  # far past the run
+    assert sequences._runs["conv(k=4)"][0] == 6000
+    catalan_convolution(4, 100)  # below the run
+    assert sequences._runs["conv(k=4)"][0] == 100
+    # binom(2n, n) = (n+1) C_n reads one Catalan number, so a deep central
+    # binomial holds one term, not the n terms below it.
+    assert CentralBinomial().term(7300) == math.comb(14600, 7300)
+    assert sequences._runs["catalan"] == (7300, [catalan_number(7300)])
+    # The M-numbers have no one-binomial closed form, so they step from a_0.
+    m_number(3, 500)
+    start, run = sequences._runs["m-numbers(b=3)"]
+    assert (start, len(run)) == (0, 501)
 
 
 def test_a_step_that_leaves_a_remainder_raises(cold_terms, monkeypatch):
@@ -290,18 +314,27 @@ def test_a_step_that_leaves_a_remainder_raises(cold_terms, monkeypatch):
 
     def off_by_one(i, prev):
         num, den = step(i, prev)
-        return num + (i == 7), den
+        return num + (i == 70), den
 
     monkeypatch.setattr(sequences, "_catalan_step", off_by_one)
-    assert catalan_number(6) == 132
-    with pytest.raises(NonExactDivision, match=r"catalan recurrence .* at n=7"):
-        catalan_number(7)
+    assert catalan_number(69) == math.comb(138, 69) // 70
+    with pytest.raises(NonExactDivision, match=r"catalan recurrence .* at n=70"):
+        catalan_number(70)
     # The m-numbers step reads the Catalan numbers, so it fails the same way.
-    with pytest.raises(NonExactDivision, match=r"catalan recurrence .* at n=7"):
-        m_number(2, 10)
+    with pytest.raises(NonExactDivision, match=r"catalan recurrence .* at n=70"):
+        m_number(2, 80)
     with pytest.raises(NonExactDivision, match=r"narayana-c row 9 recurrence .* at k=3"):
         sequences._extend([1], 10, lambda k, c: (c * (9 - k) * (10 - k) + (k == 3),
                                                   k * (k + 1)), "narayana-c row 9", "k")
+
+
+def test_a_closed_form_that_leaves_a_remainder_raises(cold_terms, monkeypatch):
+    comb = math.comb
+    monkeypatch.setattr(sequences.math, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(NonExactDivision, match=r"catalan closed form .* at n=4000"):
+        catalan_number(4000)
+    with pytest.raises(NonExactDivision, match=r"conv\(k=3\) closed form .* at n=4000"):
+        catalan_convolution(3, 4000)
 
 
 def test_negative_index_is_refused_below_the_families():
