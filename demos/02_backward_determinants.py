@@ -4,11 +4,11 @@ A negative shift slides the sequence off the top-left corner of the
 matrix, leaving a triangle of zeros.  Those zeros routinely break the
 condensation engine (it needs nonzero interior minors), which is exactly
 why the package keeps three independent engines and cross-checks them.
-Whole rows d(0..N) at one shift come from a single elimination, with the
-zero-prefixed rows reversed first so that no pivot starts at zero.  A
-vanishing minor inside a row, as in the Catalan convolution powers, opens a
-look-ahead window: the elimination swaps rows only inside the next block
-whose minor is nonzero and goes on from there.
+Whole rows d(0..N) at one shift come from a single elimination.  A
+vanishing minor, as in the zero triangle of a backward shift or inside a
+row of the Catalan convolution powers, opens a look-ahead window: the
+elimination swaps rows only inside the next block whose minor is nonzero
+and goes on from there.
 """
 
 from hankelshift import (

@@ -27,14 +27,14 @@ of bordered minors whose leading j x j block has determinant
 d(k)^(j-1) d(k+j), so a vanishing d(k+1) is stepped over by a look-ahead
 window: its width is the least j with a nonsingular block, and swapping
 rows only inside it leaves the pivot rows of every later step equal to the
-leading rows, so each later pivot is again a leading minor up to sign.
+leading rows, so each later pivot is again a leading minor up to sign.  The
+zero triangle of a backward shift is the row's first such window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     EngineDisagreement,
     NonExactDivision,
 )
-from .ring import Poly, cross_quotient, schoolbook_cross_quotient, sign_choose2
+from .ring import Poly, cross_quotient, schoolbook_cross_quotient
 from .sequences import SequenceFamily
 
 COFACTOR = "cofactor"
@@ -281,21 +281,15 @@ def leading_minors(spec: HankelSpec) -> list[Poly]:
     later pivot is again some d(n) with that sign; d(k+1..k+w-1) are 0.  If
     no d(k+j) is nonzero, neither is any remaining minor.
 
-    When row 0 starts with z zeros (z = -shift at every backward shift of
-    the families here), rows 0..z are reversed before eliminating, which is
-    cheaper than a window of width z + 1: their leading block becomes
-    triangular with the first nonzero term on the diagonal, and every
-    larger leading block holds all of them, so its pivot is
-    (-1)^C(z+1,2) d(n).
+    A backward shift -z starts the row with z zero minors, and its zero
+    triangle is the row's first window, of width z + 1 when a_0 != 0.  Each
+    tried block of size j <= z has a zero first column, so its elimination
+    stops at the first step.  Only the block of size z + 1 is eliminated in
+    full, and the window adds O(z^3) to the row's O(N^3).
     """
-    rows = build(spec).rows
-    z = next((j for j in range(spec.size) if not rows[0][j].is_zero), spec.size)
-    minors = [Poly.const(1)] + [Poly()] * z
-    if z < spec.size:
-        sign = sign_choose2(z + 1)
-        reversed_rows = Matrix(rows[z::-1] + rows[z + 1:])
-        for minor in islice(_pivots(reversed_rows, look_ahead=True), z, None):
-            minors.append(minor if sign == 1 else -minor)
+    if spec.size == 0:
+        return [Poly.const(1)]
+    minors = [Poly.const(1)] + list(_pivots(build(spec), look_ahead=True))
     return minors + [Poly()] * (spec.size + 1 - len(minors))
 
 

@@ -307,6 +307,8 @@ class Claim:
     axes: str
     # Accepted k values as (lowest, highest or None); None when k is unused.
     k_domain: tuple[int, int | None] | None = None
+    # True when the walk takes only m <= k, so m_max is capped at the largest k.
+    m_up_to_k: bool = False
 
 
 _CONV = GridRange(m_min=0, m_max=3, n_max=15, k_list=(1, 2, 3, 4))
@@ -333,7 +335,7 @@ CLAIMS: dict[str, Claim] = {
     "c11": Claim("diagonal convolution-power determinants are unit/zero periodic (conjecture)",
                  False, replace(_CONV, m_max=0), _walk_c11, "k", k_domain=(1, None)),
     "c12": Claim("near-diagonal convolution-power determinants grow like (n+1)^m (conjecture)",
-                 False, _CONV, _walk_c12, "km", k_domain=(1, None)),
+                 False, _CONV, _walk_c12, "km", k_domain=(1, None), m_up_to_k=True),
     "patterns": Claim(
         "order-k convolution determinants at shift 0 follow modular patterns (conjecture)",
         False, GridRange(m_min=0, m_max=0, n_max=21, k_list=tuple(_PATTERNS)),
@@ -346,9 +348,10 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
 
     No grid means the claim's default grid, an empty k or b list its default
     k or b values.  Axes the claim does not walk are cleared (m to [0, 0]),
-    and m starts no lower than the walk does: 1 for the backward theorems,
-    else 0.  Raises ValueError for an unknown claim, a k or b value listed
-    twice, a k outside the claim's domain or a grid whose walk yields no
+    and m runs no wider than the walk does: from 1 for the backward
+    theorems, else from 0, and for c12 up to the largest k.  Raises
+    ValueError for an unknown claim, a k or b value listed twice, a k
+    outside the claim's domain or a grid whose walk yields no
     cell (an empty m or n range, or an m_min above every k for c12, which
     walks m <= k), before any determinant is computed: each walk's first
     cell comes from a formula.
@@ -381,6 +384,8 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
     if next(claim.walk(grid), None) is None:
         raise ValueError(f"claim {claim_id} has an empty grid: "
                          f"m in [{grid.m_min}, {grid.m_max}], n <= {grid.n_max}")
+    if claim.m_up_to_k:
+        grid = replace(grid, m_max=min(grid.m_max, max(grid.k_list)))
     return grid
 
 

@@ -272,6 +272,14 @@ def test_verify_empty_k_list_echoes_walked_default(claim, capsys):
     assert csv_out == default_out
 
 
+def test_verify_c12_echoes_the_m_range_it_walks(capsys):
+    # c12 walks m <= k only, so --m-max above every k is echoed as the largest k.
+    code, out, _ = run(capsys, "verify", "c12", "--k", "1", "--m-max", "5", "--n-max", "3")
+    assert code == EXIT_OK
+    assert "claim c12: PASS (16 cells)" in out
+    assert "range: m in [0, 1], n <= 3, k in [1]\n" in out
+
+
 @pytest.mark.parametrize("argv, shown", [
     (("t1", "--m-min", "4", "--m-max", "2"), "m in [4, 2], n <= 25"),
     (("t1", "--m-max", "0"), "m in [1, 0], n <= 25"),

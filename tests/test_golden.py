@@ -42,7 +42,7 @@ COMMANDS = (
         "table --family narayana-c --shift -3 --shift-max 2 --n-max 10 --format json",
     ]
     # Polynomial Bareiss on operands carrying powers of t (shift 0), a
-    # forward shift, and Poly rows under reversed zero triangles.
+    # forward shift, and Poly rows under zero triangles.
     + [
         "det --family narayana-c --shift 0 --size 16 --format text",
         "det --family narayana-b --shift 3 --size 13 --format text",

@@ -21,6 +21,7 @@ from hankelshift import (
 )
 from hankelshift import hankel
 from hankelshift.cli import EXIT_OK, main
+from hankelshift.closed_forms import predict_backward
 from hankelshift.hankel import Matrix, _int_pivots, _poly_pivots, leading_minors
 from hankelshift.ring import sign_choose2
 from hankelshift.sequences import SequenceFamily
@@ -82,6 +83,17 @@ def test_zero_triangle_and_its_border(family):
         row = leading_minors(HankelSpec(family, -m, m + 1))
         assert row[1:m + 1] == [0] * m, m
         assert row[m + 1] == sign_choose2(m + 1), m
+
+
+@pytest.mark.parametrize("family, m, size", [
+    (Catalan(), 40, 48), (CentralBinomial(), 40, 48), (MNumbers(-2), 40, 48),
+    (NarayanaC(), 12, 16), (NarayanaB(), 12, 16),
+], ids=lambda v: getattr(v, "label", str(v)))
+def test_deep_backward_rows_match_the_closed_forms(family, m, size):
+    """Zero triangles far wider than the property tests draw: first windows of
+    width 13 to 41, each row checked against the paper's closed forms."""
+    expected = [predict_backward(family, m, n).value for n in range(size + 1)]
+    assert leading_minors(HankelSpec(family, -m, size)) == expected
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,7 @@ def test_conjecture12_values():
 def test_conjecture12_m_capped_by_k():
     report = verify_claim("c12", GridRange(m_min=0, m_max=3, n_max=6, k_list=(1,)))
     assert max(c.param("m") for c in report.cells) == 1
+    assert report.range.m_max == 1
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
