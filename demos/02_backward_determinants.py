@@ -7,8 +7,9 @@ why the package keeps three independent engines and cross-checks them.
 Whole rows d(0..N) at one shift come from a single elimination.  A
 vanishing minor, as in the zero triangle of a backward shift or inside a
 row of the Catalan convolution powers, opens a look-ahead window: the
-elimination swaps rows only inside the next block whose minor is nonzero
-and goes on from there.
+elimination swaps the zero pivot with the first nonzero row below, which
+always lies inside the next block whose minor is nonzero, reads 0 for
+each minor inside the window and goes on from there.
 """
 
 from hankelshift import (

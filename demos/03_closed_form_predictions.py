@@ -35,7 +35,8 @@ for m, n in ((1, 4), (2, 4), (3, 7)):
           f"   reflection holds: {reflection_check(m, n)}")
 
 print()
-print("prediction vs computed determinant (never the same code path):")
+print("prediction vs computed determinant (separate routes; the Narayana ones share")
+print("the packed update kernel ring.cross_quotient):")
 for family in (Catalan(), CentralBinomial(), NarayanaC(), NarayanaB()):
     for m, n in ((1, 5), (2, 7)):
         predicted = predict_backward(family, m, n).value

@@ -24,11 +24,12 @@ raised loudly by :func:`cross_check`.
 :func:`leading_minors` reads a whole row d(0..N) off the pivots of one
 elimination.  By Sylvester's identity the state after k steps is a matrix
 of bordered minors whose leading j x j block has determinant
-d(k)^(j-1) d(k+j), so a vanishing d(k+1) is stepped over by a look-ahead
-window: its width is the least j with a nonsingular block, and swapping
-rows only inside it leaves the pivot rows of every later step equal to the
-leading rows, so each later pivot is again a leading minor up to sign.  The
-zero triangle of a backward shift is the row's first such window.
+d(k)^(j-1) d(k+j), so a vanishing d(k+1) opens a look-ahead window up to
+the least nonsingular block.  The ordinary swap of a zero pivot with the
+first nonzero row below never leaves that block, so when the window closes
+the pivot rows are again the leading rows, and each later pivot is again a
+leading minor up to sign.  The zero triangle of a backward shift is the
+row's first such window.
 """
 
 from __future__ import annotations
@@ -157,49 +158,34 @@ T = TypeVar("T")
 
 
 def _eliminate(grid: list[list[T]], one: T, zero: T,
-               step: Callable[[], Callable[[T, T, T, T, T], T]],
-               look_ahead: bool = False) -> Iterator[T]:
+               step: Callable[[], Callable[[T, T, T, T, T], T]]) -> Iterator[T]:
     """Fraction-free elimination over any exact ring, in place.
 
     ``step()`` gives the entry function of one elimination step, which maps
     (pivot, a_ij, a_ik, a_kj, previous pivot) to the exact quotient
-    (pivot*a_ij - a_ik*a_kj) / previous pivot.  Its two modes differ only
-    in the rows a zero pivot may be swapped with, and so in what the values
-    yielded mean.
-
-    By default it is swapped with the first row below it whose entry in the
-    pivot column is nonzero.  The values yielded are the pivot of each step
-    as the step finds it and, last, the determinant, so the values up to
-    and including the first zero are the leading principal minors d(1),
-    d(2), ... of the grid as given.
-
-    With ``look_ahead`` a zero pivot opens a window (:func:`_window_end`)
-    and is swapped only with rows inside it, and the values yielded are
-    d(1), ..., d(n) for every size; the window's interior minors are 0.
-    Stops after yielding 0 when no later minor is nonzero.
+    (pivot*a_ij - a_ik*a_kj) / previous pivot.  A zero pivot is swapped with
+    the first row below it whose entry in the pivot column is nonzero.
+    Yields d(1), ..., d(n), the leading principal minors of the grid as
+    given: 0 at each step before ``end - 1``, where ``end`` is one past the
+    last row a swap has reached, and otherwise the pivot times the sign of
+    the swaps (:func:`leading_minors` proves it).  Stops after yielding 0
+    when no later minor is nonzero.
     """
     n = len(grid)
     sign = 1
     prev = one
-    end = 0 if look_ahead else n
+    end = 0
     for k in range(n - 1):
-        found = grid[k][k]
-        if found == zero:
-            if k >= end:
-                end = _window_end(grid, k, one, zero, step)
-            r = next((r for r in range(k + 1, end) if grid[r][k] != zero), None)
+        if grid[k][k] == zero:
+            r = next((r for r in range(k + 1, n) if grid[r][k] != zero), None)
             if r is None:
                 yield zero
                 return
             grid[k], grid[r] = grid[r], grid[k]
             sign = -sign
+            end = max(end, r + 1)
         pivot = grid[k][k]
-        if not look_ahead:
-            yield found
-        elif k < end - 1:
-            yield zero
-        else:
-            yield pivot if sign == 1 else -pivot
+        yield zero if k < end - 1 else (pivot if sign == 1 else -pivot)
         entry = step()
         row_k = grid[k]
         for i in range(k + 1, n):
@@ -211,20 +197,6 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
     yield result if sign == 1 else -result
 
 
-def _window_end(grid: list[list[T]], k: int, one: T, zero: T,
-                step: Callable[[], Callable[[T, T, T, T, T], T]]) -> int:
-    """k + w for the least w >= 2 whose leading w x w block of grid[k:, k:] is
-    nonsingular, or k + 1 when no such block exists.
-
-    Each block's determinant comes from the default elimination on a copy.
-    """
-    for end in range(k + 2, len(grid) + 1):
-        *_, value = _eliminate([row[k:end] for row in grid[k:end]], one, zero, step)
-        if value != zero:
-            return end
-    return k + 1
-
-
 def _int_cross_quotient(a: int, d: int, b: int, c: int, e: int) -> int:
     q, r = divmod(a * d - b * c, e)
     if r:
@@ -232,26 +204,25 @@ def _int_cross_quotient(a: int, d: int, b: int, c: int, e: int) -> int:
     return q
 
 
-def _int_pivots(matrix: Matrix, look_ahead: bool = False) -> Iterator[Poly]:
+def _int_pivots(matrix: Matrix) -> Iterator[Poly]:
     grid = [[e.constant for e in row] for row in matrix.rows]
-    return map(Poly.const, _eliminate(grid, 1, 0, lambda: _int_cross_quotient, look_ahead))
+    return map(Poly.const, _eliminate(grid, 1, 0, lambda: _int_cross_quotient))
 
 
-def _poly_pivots(matrix: Matrix, look_ahead: bool = False) -> Iterator[Poly]:
+def _poly_pivots(matrix: Matrix) -> Iterator[Poly]:
     """The pivots over Poly; each step's updates share one memo of packed operands."""
     grid = [list(row) for row in matrix.rows]
-    return _eliminate(grid, Poly.const(1), Poly(), lambda: partial(cross_quotient, {}),
-                      look_ahead)
+    return _eliminate(grid, Poly.const(1), Poly(), lambda: partial(cross_quotient, {}))
 
 
-def _pivots(matrix: Matrix, look_ahead: bool = False) -> Iterator[Poly]:
+def _pivots(matrix: Matrix) -> Iterator[Poly]:
     """The values of :func:`_eliminate` on a nonempty matrix.
 
     All-constant matrices take a pure-int path; the generic path runs the
     identical algorithm over Poly, and the two are tested bit-identical.
     """
     pivots = _int_pivots if matrix.all_constant else _poly_pivots
-    return pivots(matrix, look_ahead)
+    return pivots(matrix)
 
 
 def det_bareiss(matrix: Matrix) -> Poly:
@@ -272,24 +243,25 @@ def leading_minors(spec: HankelSpec) -> list[Poly]:
     identity, on which the elimination rests, gives
     det G[k:k+j, k:k+j] = d(k)^(j-1) d(k+j).
 
-    When d(k+1) = 0 the elimination looks ahead: the window width w is the
-    least j >= 2 with d(k+j) != 0, found from that identity, and the next w
-    steps swap rows only among rows k..k+w-1, where the nonsingular block
-    always holds a pivot.  Such swaps permute the rows {0..k+w-1} among
-    themselves, so when the window closes the pivot rows are again exactly
-    {0..k+w-1}, the pivot is d(k+w) up to the sign of the swaps, and every
-    later pivot is again some d(n) with that sign; d(k+1..k+w-1) are 0.  If
-    no d(k+j) is nonzero, neither is any remaining minor.
+    When d(k+1) = 0 a window opens, up to the least w >= 2 with
+    d(k+w) != 0, that is, the least nonsingular block G[k:k+w, k:k+w].  A
+    zero pivot inside it is swapped with the first nonzero row below, and
+    that row lies in the block: the Schur complement of the pivots already
+    taken from the block is nonsingular, so its first column is nonzero
+    there.  So the swaps permute the rows {0..k+w-1} among themselves, and
+    the pivot of step k+w-1 is d(k+w) times their sign.  No earlier step of
+    the window is at ``end - 1`` in :func:`_eliminate`, for its pivot would
+    then be a nonzero d(k+j) with j < w.  d(k+1..k+w-1) are 0, and every
+    later pivot is again some d(n) with that sign.  A zero column below a
+    zero pivot means no later minor is nonzero.
 
-    A backward shift -z starts the row with z zero minors, and its zero
-    triangle is the row's first window, of width z + 1 when a_0 != 0.  Each
-    tried block of size j <= z has a zero first column, so its elimination
-    stops at the first step.  Only the block of size z + 1 is eliminated in
-    full, and the window adds O(z^3) to the row's O(N^3).
+    A backward shift -z starts the row with z zero minors: its zero triangle
+    is the row's first window, of width z + 1 when a_0 != 0, and the first
+    step swaps row z to the top.
     """
     if spec.size == 0:
         return [Poly.const(1)]
-    minors = [Poly.const(1)] + list(_pivots(build(spec), look_ahead=True))
+    minors = [Poly.const(1)] + list(_pivots(build(spec)))
     return minors + [Poly()] * (spec.size + 1 - len(minors))
 
 

@@ -4,10 +4,15 @@ Every claim is one entry of :data:`CLAIMS`: summary, proven or not, default
 grid, accepted k values and a cell walk.  A walk yields each cell's
 parameters, expected value and the :class:`~hankelshift.hankel.HankelSpec`
 whose determinant should equal it.  :func:`verify_claim`, the single entry
-point, is the only place that determinant is computed, so expected and
-actual values never share a code path: expectations come from
-:mod:`hankelshift.closed_forms`, from the recorded pattern formulas, or
-from determinants of *different* specs when the claim relates two.
+point, is the only place that determinant is computed.  Expectations come
+from :mod:`hankelshift.closed_forms`, from the recorded pattern formulas,
+or from determinants of *different* specs when the claim relates two, so
+expected and actual values share no code path, with two exceptions: the
+t8 and t9 expectations come from the Narayana recursion, which runs
+``hankel._condense`` and ``ring.cross_quotient``, while the actual side runs
+``cross_quotient`` on polynomial matrices and ``_condense`` on constant ones;
+and c10 relates two determinants, so both sides run the whole
+``hankel.det`` stack by design.
 
 Proven claims (ids ``t1``, ``t6``, ``t7``, ``t8``, ``t9``) must pass on any
 grid; a failing cell there is a bug.  The conjectured claims (``c10``,

@@ -1,5 +1,6 @@
 """Whole determinant rows d(0..N) from one elimination, against per-size Bareiss."""
 
+import itertools
 import shlex
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from hankelshift import (
     Poly,
     build,
     det_bareiss,
+    det_cofactor,
 )
 from hankelshift import hankel
 from hankelshift.cli import EXIT_OK, main
@@ -87,11 +89,11 @@ def test_zero_triangle_and_its_border(family):
 
 @pytest.mark.parametrize("family, m, size", [
     (Catalan(), 40, 48), (CentralBinomial(), 40, 48), (MNumbers(-2), 40, 48),
-    (NarayanaC(), 12, 16), (NarayanaB(), 12, 16),
+    (NarayanaC(), 12, 16), (NarayanaB(), 12, 16), (Catalan(), 120, 130),
 ], ids=lambda v: getattr(v, "label", str(v)))
 def test_deep_backward_rows_match_the_closed_forms(family, m, size):
     """Zero triangles far wider than the property tests draw: first windows of
-    width 13 to 41, each row checked against the paper's closed forms."""
+    width 13 to 121, each row checked against the paper's closed forms."""
     expected = [predict_backward(family, m, n).value for n in range(size + 1)]
     assert leading_minors(HankelSpec(family, -m, size)) == expected
 
@@ -147,22 +149,35 @@ def test_first_window_of_each_width(k, shift, start, run):
 
 
 # Mostly zeros, so that leading minors vanish in runs and rows end inside
-# windows.  Not Hankel, because in a general matrix a zero pivot's column
-# can have a nonzero entry below its window, which a swap must not reach.
+# windows.  Not Hankel, so a zero pivot's column may well have a nonzero
+# entry below its window.  The swap still never reaches it: the least
+# nonsingular block that closes the window holds a nonzero entry of that
+# column, because the Schur complement of the pivots already taken from
+# the block is nonsingular, and the swap takes the first nonzero row.
 sparse_matrices = st.integers(1, 7).flatmap(lambda n: st.lists(
     st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=n, max_size=n),
     min_size=n, max_size=n))
 
 
+def assert_pivots_are_the_leading_minors(rows):
+    """Both elimination paths against cofactor expansion of each leading block."""
+    matrix = Matrix([[Poly.const(v) for v in row] for row in rows])
+    expected = [det_cofactor(Matrix([row[:n] for row in matrix.rows[:n]]))
+                for n in range(1, matrix.n + 1)]
+    for pivots in (_int_pivots, _poly_pivots):
+        minors = list(pivots(matrix))
+        assert minors + [Poly()] * (matrix.n - len(minors)) == expected, (pivots.__name__, rows)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(sparse_matrices)
 def test_look_ahead_elimination_yields_every_leading_minor(rows):
-    matrix = Matrix([[Poly.const(v) for v in row] for row in rows])
-    expected = [det_bareiss(Matrix([row[:n] for row in matrix.rows[:n]]))
-                for n in range(1, matrix.n + 1)]
-    for pivots in (_int_pivots, _poly_pivots):
-        minors = list(pivots(matrix, look_ahead=True))
-        assert minors + [Poly()] * (matrix.n - len(minors)) == expected, pivots.__name__
+    assert_pivots_are_the_leading_minors(rows)
+
+
+def test_every_3x3_sign_matrix_yields_its_leading_minors():
+    for entries in itertools.product((-1, 0, 1), repeat=9):
+        assert_pivots_are_the_leading_minors([entries[0:3], entries[3:6], entries[6:9]])
 
 
 @dataclass(frozen=True)
@@ -204,6 +219,19 @@ def test_forward_catalan_table_runs_one_elimination_per_shift(monkeypatch, capsy
     rows = capsys.readouterr().out.splitlines()[1:]
     for m, line in zip(range(5), rows):
         assert line.split(",")[1:] == [str(v) for v in DET_CATALAN_FWD[m][:10]], m
+
+
+@pytest.mark.parametrize("family, shift, size", [(Catalan(), -40, 48), (ConvCatalan(5), 0, 25)],
+                         ids=lambda v: getattr(v, "label", str(v)))
+def test_a_row_is_one_elimination(family, shift, size, monkeypatch):
+    """A backward zero triangle and the interior windows of conv(k=5) are
+    crossed inside the row's own elimination, with no block eliminated
+    again on the side."""
+    calls = []
+    eliminate = hankel._eliminate
+    monkeypatch.setattr(hankel, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    leading_minors(HankelSpec(family, shift, size))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command, shifts", [

@@ -23,19 +23,28 @@ from hankelshift.sequences import Catalan
 
 
 def reference_pivots(rows):
-    """The values of hankel._eliminate, with each update spelled out in Poly ops."""
+    """The values of hankel._eliminate, with each update spelled out in Poly ops.
+
+    ``end`` is one past the last row a swap has reached: a step before
+    ``end - 1`` is inside a window and yields 0, and the others yield the
+    pivot times the sign of the swaps.
+    """
     grid = [list(row) for row in rows]
     n = len(grid)
-    sign, prev, out = 1, Poly.const(1), []
+    sign, prev, end, out = 1, Poly.const(1), 0, []
     for k in range(n - 1):
-        out.append(grid[k][k])
         if grid[k][k].is_zero:
             swap = next((r for r in range(k + 1, n) if not grid[r][k].is_zero), None)
             if swap is None:
-                return out
+                return out + [Poly()]
             grid[k], grid[swap] = grid[swap], grid[k]
             sign = -sign
+            end = max(end, swap + 1)
         pivot = grid[k][k]
+        if k < end - 1:
+            out.append(Poly())
+        else:
+            out.append(pivot if sign == 1 else -pivot)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 grid[i][j] = (pivot * grid[i][j] - grid[i][k] * grid[k][j]).exact_div(prev)
