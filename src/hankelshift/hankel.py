@@ -35,7 +35,6 @@ row's first such window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import (
@@ -110,7 +109,6 @@ class DetResult:
 
     value: Poly
     engine: str
-    spec: HankelSpec
 
 
 def build(spec: HankelSpec) -> Matrix:
@@ -158,18 +156,17 @@ T = TypeVar("T")
 
 
 def _eliminate(grid: list[list[T]], one: T, zero: T,
-               step: Callable[[], Callable[[T, T, T, T, T], T]]) -> Iterator[T]:
+               entry: Callable[[T, T, T, T, T], T]) -> Iterator[T]:
     """Fraction-free elimination over any exact ring, in place.
 
-    ``step()`` gives the entry function of one elimination step, which maps
-    (pivot, a_ij, a_ik, a_kj, previous pivot) to the exact quotient
-    (pivot*a_ij - a_ik*a_kj) / previous pivot.  A zero pivot is swapped with
-    the first row below it whose entry in the pivot column is nonzero.
-    Yields d(1), ..., d(n), the leading principal minors of the grid as
-    given: 0 at each step before ``end - 1``, where ``end`` is one past the
-    last row a swap has reached, and otherwise the pivot times the sign of
-    the swaps (:func:`leading_minors` proves it).  Stops after yielding 0
-    when no later minor is nonzero.
+    ``entry`` maps (pivot, a_ij, a_ik, a_kj, previous pivot) to the exact
+    quotient (pivot*a_ij - a_ik*a_kj) / previous pivot.  A zero pivot is
+    swapped with the first row below it whose entry in the pivot column is
+    nonzero.  Yields d(1), ..., d(n), the leading principal minors of the
+    grid as given: 0 at each step before ``end - 1``, where ``end`` is one
+    past the last row a swap has reached, and otherwise the pivot times the
+    sign of the swaps (:func:`leading_minors` proves it).  Stops after
+    yielding 0 when no later minor is nonzero.
     """
     n = len(grid)
     sign = 1
@@ -186,7 +183,6 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
             end = max(end, r + 1)
         pivot = grid[k][k]
         yield zero if k < end - 1 else (pivot if sign == 1 else -pivot)
-        entry = step()
         row_k = grid[k]
         for i in range(k + 1, n):
             row_i, lead = grid[i], grid[i][k]
@@ -206,13 +202,13 @@ def _int_cross_quotient(a: int, d: int, b: int, c: int, e: int) -> int:
 
 def _int_pivots(matrix: Matrix) -> Iterator[Poly]:
     grid = [[e.constant for e in row] for row in matrix.rows]
-    return map(Poly.const, _eliminate(grid, 1, 0, lambda: _int_cross_quotient))
+    return map(Poly.const, _eliminate(grid, 1, 0, _int_cross_quotient))
 
 
 def _poly_pivots(matrix: Matrix) -> Iterator[Poly]:
-    """The pivots over Poly; each step's updates share one memo of packed operands."""
+    """The pivots over Poly; each entry keeps its packed operand across the updates it serves."""
     grid = [list(row) for row in matrix.rows]
-    return _eliminate(grid, Poly.const(1), Poly(), lambda: partial(cross_quotient, {}))
+    return _eliminate(grid, Poly.const(1), Poly(), cross_quotient)
 
 
 def _pivots(matrix: Matrix) -> Iterator[Poly]:
@@ -273,16 +269,15 @@ def _condense(band: Sequence[Poly]) -> Poly | None:
     so layer c holds just H_r(c), r = 0..2(n-c), from Desnanot-Jacobi:
     H_r(c) = (H_r(c-1) H_{r+2}(c-1) - H_{r+1}(c-1)^2) / H_{r+2}(c-2).  A zero
     among a layer's divisors returns None before the layer is computed.
-    Updates pack (one memo per layer) unless every band entry is constant.
+    Updates run on the packed kernel unless every band entry is constant.
     """
     if not band:
         return Poly.const(1)
-    constant = all(e.is_constant for e in band)
+    entry = schoolbook_cross_quotient if all(e.is_constant for e in band) else cross_quotient
     before, layer = [Poly.const(1)] * len(band), band
     while len(layer) > 1:
         if any(e.is_zero for e in before[2:len(layer)]):
             return None
-        entry = schoolbook_cross_quotient if constant else partial(cross_quotient, {})
         before, layer = layer, [entry(layer[r], layer[r + 2], layer[r + 1], layer[r + 1], before[r + 2])
                                 for r in range(len(layer) - 2)]
     return layer[0]
@@ -315,20 +310,20 @@ def det(spec: HankelSpec, engine: str = AUTO) -> DetResult:
     matrix = build(spec)
     if engine == AUTO:
         if not matrix.all_constant:
-            return DetResult(det_bareiss(matrix), BAREISS, spec)
+            return DetResult(det_bareiss(matrix), BAREISS)
         value = det_condensation(matrix)
         if value is not None:
-            return DetResult(value, CONDENSATION, spec)
-        return DetResult(det_bareiss(matrix), BAREISS, spec)
+            return DetResult(value, CONDENSATION)
+        return DetResult(det_bareiss(matrix), BAREISS)
     if engine == BAREISS:
-        return DetResult(det_bareiss(matrix), BAREISS, spec)
+        return DetResult(det_bareiss(matrix), BAREISS)
     if engine == COFACTOR:
-        return DetResult(det_cofactor(matrix), COFACTOR, spec)
+        return DetResult(det_cofactor(matrix), COFACTOR)
     if engine == CONDENSATION:
         value = det_condensation(matrix)
         if value is None:
             raise CondensationUnavailable(f"zero interior minor while condensing {spec}")
-        return DetResult(value, CONDENSATION, spec)
+        return DetResult(value, CONDENSATION)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -345,4 +340,4 @@ def cross_check(spec: HankelSpec) -> DetResult:
         shown = {name: str(value) for name, value in results.items()}
         raise EngineDisagreement(f"engines disagree on {spec}: {shown}", results)
     engine = CONDENSATION if cond is not None else BAREISS
-    return DetResult(results[engine], engine, spec)
+    return DetResult(results[engine], engine)

@@ -9,6 +9,8 @@ in this module ever rounds: a division either succeeds exactly or raises
 ``Poly`` arithmetic is schoolbook.  The exact update (a*d - b*c) / e of every
 fraction-free step on polynomials is one packed big-int expression,
 :func:`cross_quotient`, whose docstring holds the argument for its exactness.
+A ``Poly`` keeps its packed form once it has been an operand there, so
+nothing outside this module decides how long a packing lives.
 """
 
 from __future__ import annotations
@@ -93,14 +95,13 @@ def _unpack(value: int, nb: int, count: int) -> list[int]:
 
 
 class _Operand:
-    """p = t^v * p' in one step's memo (under ``id(p)``), p' packed once per slot width."""
+    """p = t^v * p', kept on p once it is first an operand, p' packed once per slot width."""
 
-    __slots__ = ("poly", "v", "coeffs", "bits", "length", "packed")
+    __slots__ = ("v", "coeffs", "bits", "length", "packed")
 
-    def __init__(self, packs: dict, p: Poly) -> None:
-        packs[id(p)] = self
+    def __init__(self, p: Poly) -> None:
+        p._operand = self
         cs = p.coeffs
-        self.poly = p  # keeps id(p), the memo key, from being reused
         self.v = _valuation(cs) if cs else 0
         self.coeffs = cs[self.v:]
         self.bits = _bits(cs) if cs else 0  # 0 exactly for the zero polynomial
@@ -114,14 +115,15 @@ class _Operand:
         return packed
 
 
-def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
+def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     """The exact quotient (a*d - b*c) / e through one packed big-int expression.
 
     This is the update of a fraction-free elimination step and of a layer
     of the condensation wedge, which the Narayana recursion also runs.
-    ``packs`` is a memo, keyed by ``id``, shared by the calls of one step
-    or layer, where operands recur; each entry holds its Poly, so no other
-    object can take over its ``id`` while the memo lives.
+    Operands recur across the calls of a step or layer (the pivot, the
+    previous pivot, a row's lead, a layer's minors).  A Poly is immutable,
+    so its :class:`_Operand` is made on its first use and kept on it, and
+    each slot width is packed once per Poly.
 
     Packing (:func:`_pack`) evaluates at t = 2^W, W = 8*nb, a ring
     homomorphism Z[t] -> Z; a packed polynomial whose coefficients all fit
@@ -150,12 +152,11 @@ def cross_quotient(packs: dict, a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> 
     entry whose quotient fails the bound is computed by
     :func:`schoolbook_cross_quotient`.
     """
-    get = packs.get
-    A = get(id(a)) or _Operand(packs, a)
-    D = get(id(d)) or _Operand(packs, d)
-    B = get(id(b)) or _Operand(packs, b)
-    C = get(id(c)) or _Operand(packs, c)
-    E = get(id(e)) or _Operand(packs, e)
+    A = a._operand or _Operand(a)
+    D = d._operand or _Operand(d)
+    B = b._operand or _Operand(b)
+    C = c._operand or _Operand(c)
+    E = e._operand or _Operand(e)
     if not E.bits:
         raise NonExactDivision("division by the zero polynomial")
     first, second = A.bits and D.bits, B.bits and C.bits
@@ -239,10 +240,11 @@ class Poly:
     Coefficients are stored ascending by degree with no trailing zeros, so
     equal polynomials have identical coefficient tuples; the empty tuple is
     the zero polynomial.  Instances are immutable and hashable, and constant
-    polynomials compare and hash equal to the corresponding int.
+    polynomials compare and hash equal to the corresponding int.  The one
+    other slot caches the packed operand of :func:`cross_quotient`.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_operand")
 
     coeffs: tuple[int, ...]
 
@@ -251,6 +253,7 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._operand: _Operand | None = None
 
     @classmethod
     def const(cls, c: int) -> Poly:

@@ -93,25 +93,25 @@ def test_cross_quotient_exact_cases():
     for quotient in (Poly((-1, 4, 3)), Poly((2 ** 70, 0, -1)), Poly((0, 0, 1))):
         dividend = quotient * e
         # b*c alone (so its sign matters), a*d alone, and both.
-        assert cross_quotient({}, Poly(), d, Poly.const(-1), dividend, e) == quotient
-        assert cross_quotient({}, dividend, Poly.const(1), b, Poly(), e) == quotient
-        assert cross_quotient({}, dividend + b * c, Poly.const(1), b, c, e) == quotient
-    assert cross_quotient({}, a, d, b, c, Poly.const(1)) == a * d - b * c
-    assert cross_quotient({}, a, d, a, d, e) == Poly()
-    assert cross_quotient({}, Poly(), d, b, Poly(), e) == Poly()
+        assert cross_quotient(Poly(), d, Poly.const(-1), dividend, e) == quotient
+        assert cross_quotient(dividend, Poly.const(1), b, Poly(), e) == quotient
+        assert cross_quotient(dividend + b * c, Poly.const(1), b, c, e) == quotient
+    assert cross_quotient(a, d, b, c, Poly.const(1)) == a * d - b * c
+    assert cross_quotient(a, d, a, d, e) == Poly()
+    assert cross_quotient(Poly(), d, b, Poly(), e) == Poly()
 
 
 def test_cross_quotient_raises_on_a_non_multiple():
     t = Poly((0, 1))
     e = Poly((1, 2))
     with pytest.raises(NonExactDivision):  # nonzero remainder of the packed divmod
-        cross_quotient({}, Poly((1, 1)), Poly.const(1), Poly(), Poly(), e)
+        cross_quotient(Poly((1, 1)), Poly.const(1), Poly(), Poly(), e)
     with pytest.raises(NonExactDivision):  # t^3 does not divide t^2 * (...)
-        cross_quotient({}, t * t, Poly((1, 5)), Poly(), Poly(), t * t * t)
+        cross_quotient(t * t, Poly((1, 5)), Poly(), Poly(), t * t * t)
     with pytest.raises(NonExactDivision):  # the numerator is shorter than the divisor
-        cross_quotient({}, Poly.const(3), Poly.const(1), Poly(), Poly(), e * e)
+        cross_quotient(Poly.const(3), Poly.const(1), Poly(), Poly(), e * e)
     with pytest.raises(NonExactDivision):
-        cross_quotient({}, Poly.const(1), Poly.const(1), Poly(), Poly(), Poly())
+        cross_quotient(Poly.const(1), Poly.const(1), Poly(), Poly(), Poly())
 
 
 def test_cross_quotient_falls_back_when_the_digit_bound_fails(monkeypatch):
@@ -129,21 +129,23 @@ def test_cross_quotient_falls_back_when_the_digit_bound_fails(monkeypatch):
     calls = []
     exact_div = Poly.exact_div
     monkeypatch.setattr(Poly, "exact_div", lambda a, b: calls.append(b) or exact_div(a, b))
-    assert cross_quotient({}, euler, Poly.const(1), Poly(), Poly(), binom) == factorial
+    assert cross_quotient(euler, Poly.const(1), Poly(), Poly(), binom) == factorial
     assert calls == [binom]
     with pytest.raises(NonExactDivision):
-        cross_quotient({}, euler + 1, Poly.const(1), Poly(), Poly(), binom)
+        cross_quotient(euler + 1, Poly.const(1), Poly(), Poly(), binom)
 
 
-def test_cross_quotient_memo_shares_packs_within_a_step():
+def test_cross_quotient_makes_each_operand_once(monkeypatch):
+    made = []
+    operand = ring._Operand
+    monkeypatch.setattr(ring, "_Operand", lambda p: made.append(p) or operand(p))
     e = Poly((1, 1))
-    packs = {}
     pivot = Poly((2, 1))
     for c in (Poly((1, 1, 1)), Poly((0, 3)), Poly((5,))):
         d = c * Poly((1, 4))
-        assert cross_quotient(packs, pivot, d * e, pivot, c * e, e) == pivot * (d - c)
-    # The pivot and the divisor are keyed once each, every entry holding its Poly.
-    assert packs[id(pivot)].poly is pivot and packs[id(e)].poly is e
+        assert cross_quotient(pivot, d * e, pivot, c * e, e) == pivot * (d - c)
+    # The pivot and the divisor serve all three calls, and each is made an operand once.
+    assert sum(p is pivot for p in made) == 1 and sum(p is e for p in made) == 1
 
 
 def row_degree_bound(matrix):

@@ -139,8 +139,8 @@ def test_cross_quotient_product_matches_schoolbook(a, b):
     # a*b as (a, b, 0, 0, 1) and as (0, 0, a, b, -1); the slots always hold a
     # product's digits, so neither entry falls back.
     with counting_fallbacks() as fallbacks:
-        assert ring.cross_quotient({}, a, b, ZERO, ZERO, ONE) == a * b
-        assert ring.cross_quotient({}, ZERO, ZERO, a, b, -ONE) == a * b
+        assert ring.cross_quotient(a, b, ZERO, ZERO, ONE) == a * b
+        assert ring.cross_quotient(ZERO, ZERO, a, b, -ONE) == a * b
     assert fallbacks == []
 
 
@@ -149,7 +149,7 @@ def test_cross_quotient_product_matches_schoolbook(a, b):
 def test_cross_quotient_exact_quotient_matches_schoolbook(q, b):
     a = q * b
     assert a.exact_div(b) == q
-    assert ring.cross_quotient({}, a, ONE, ZERO, ZERO, b) == q
+    assert ring.cross_quotient(a, ONE, ZERO, ZERO, b) == q
 
 
 @settings(deadline=None)
@@ -163,7 +163,7 @@ def test_cross_quotient_rejects_a_non_multiple(q, b, e):
     with pytest.raises(NonExactDivision):
         a.exact_div(b)
     with pytest.raises(NonExactDivision):
-        ring.cross_quotient({}, a, ONE, ZERO, ZERO, b)
+        ring.cross_quotient(a, ONE, ZERO, ZERO, b)
 
 
 def test_cross_quotient_slots_cover_a_divisor_wider_than_the_dividend():
@@ -175,9 +175,29 @@ def test_cross_quotient_slots_cover_a_divisor_wider_than_the_dividend():
     # One 64-bit word covers the numerator's slot bound with its slack, not the divisor.
     assert ring._bits(b.coeffs) >= 64 > ring._bits(a.coeffs) + 3 + 18
     with counting_fallbacks() as fallbacks:
-        assert ring.cross_quotient({}, a, ONE, ZERO, ZERO, b) == q
+        assert ring.cross_quotient(a, ONE, ZERO, ZERO, b) == q
     assert fallbacks == []
     assert a.exact_div(b) == q
+
+
+def test_an_operand_serves_calls_of_different_slot_widths():
+    # One Poly object is an operand of a narrow update (one 64-bit slot) and of
+    # one whose 70-bit coefficient needs wider slots, in both orders, so the
+    # second call reads the operand kept from the first at another width.
+    def updates():
+        shared, e = Poly((2, -1, 3)), Poly((1, 1))
+        narrow = (shared, e * Poly((1, 2)), e, Poly((0, 5)), e)
+        wide = (shared, e * Poly((2 ** 70, -3)), e, Poly((0, 5)), e)
+        return shared, (narrow, wide)
+
+    for order in ((0, 1), (1, 0)):
+        shared, calls = updates()
+        expected = [ring.schoolbook_cross_quotient(*args) for args in calls]
+        with counting_fallbacks() as fallbacks:
+            for i in order:
+                assert ring.cross_quotient(*calls[i]) == expected[i]
+        assert fallbacks == []
+        assert len(shared._operand.packed) == 2
 
 
 def test_kronecker_quotient_outside_the_digit_bound_falls_back_to_schoolbook():
@@ -192,7 +212,7 @@ def test_kronecker_quotient_outside_the_digit_bound_falls_back_to_schoolbook():
     # so neither packed quotient's digits pass the bound and the schoolbook loop decides.
     for divisor, quotient in ((factorial, binom), (binom, factorial)):
         with counting_fallbacks() as fallbacks:
-            assert ring.cross_quotient({}, euler, ONE, ZERO, ZERO, divisor) == quotient
+            assert ring.cross_quotient(euler, ONE, ZERO, ZERO, divisor) == quotient
         assert len(fallbacks) == 1
         assert euler.exact_div(divisor) == quotient
     with pytest.raises(NonExactDivision):
