@@ -9,12 +9,14 @@ detect the constant case and run on plain ints).
 Terms come from exact stepping recurrences.  A numeric family keeps one
 shared run of consecutive terms a_s, a_{s+1}, ... and extends it from its
 last term by a_i = num / den, where ``(num, den)`` is the family's step at
-i, so a window of consecutive terms costs one small step per term.  Catalan
-numbers and convolution powers start a new run from their one-binomial
-closed form when a request lands below their run or far past it; the
-M-numbers, whose closed form is a sum of n+1 binomials, always step from
-a_0.  A Narayana row steps along its coefficients the same way.  Every
-division is checked, so one that leaves a remainder raises
+i, so a window of consecutive terms costs one small step per term.  The
+Catalan numbers are the first convolution power C^1, so they, the central
+binomials (n+1) C_n and the M-numbers at b = 0 and 1 read one run.
+Convolution powers start a new run from their one-binomial closed form
+when a request lands below their run or far past it; the other M-numbers,
+whose closed form is a sum of n+1 binomials, always step from a_0.  A
+Narayana row steps along its coefficients the same way.  Every division is
+checked, so one that leaves a remainder raises
 :class:`~hankelshift.errors.NonExactDivision` naming the family and the
 index instead of truncating.  On top of the runs the term functions are
 memoized with ``functools.lru_cache``, so family objects are cheap
@@ -79,19 +81,11 @@ def _stepped(label: str, n: int, step, closed=None) -> int:
         return _extend(terms, n + 1, step, label, start=start)[n - start]
 
 
-def _catalan_step(i: int, prev: int) -> tuple[int, int]:
-    return prev * 2 * (2 * i - 1), i + 1
-
-
-def _catalan_closed(n: int) -> int:
-    return _exact(math.comb(2 * n, n), n + 1, "catalan closed form", "n", n)
-
-
 @functools.lru_cache(maxsize=None)
 def catalan_number(n: int) -> int:
-    """n-th Catalan number via the ratio recurrence C_n = C_{n-1}*2(2n-1)/(n+1),
-    or binom(2n, n)/(n+1) to start a run far from the last one."""
-    return _stepped("catalan", n, _catalan_step, _catalan_closed)
+    """n-th Catalan number, the first convolution power C^1: its step is
+    2(2n-1)/(n+1) and its closed form binom(2n, n)/(n+1)."""
+    return catalan_convolution(1, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,13 +128,17 @@ def m_number(b: int, n: int) -> int:
 
         M_n = (C_n - b^2 M_{n-1}) / (1 - b),
 
-    from M_0 = 1, an exact division at every step.  At b = 1 the identity
-    reads x M = C - 1, so M_n = C_{n+1}.
+    from M_0 = 1, an exact division at every step.  At b = 0 and b = 1 the
+    identity reads M = C and x M = C - 1, so M_n = C_{n+b}.
     """
-    if b == 1 and n >= 0:
-        return catalan_number(n + 1)
+    if b in (0, 1) and n >= 0:
+        return catalan_number(n + b)
     return _stepped(f"m-numbers(b={b})", n,
                     lambda i, prev: (catalan_number(i) - b * b * prev, 1 - b))
+
+
+def _conv_step(k: int, i: int, prev: int) -> tuple[int, int]:
+    return prev * ((2 * i + k - 2) * (2 * i + k - 1)), i * (i + k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,8 +148,7 @@ def catalan_convolution(k: int, n: int) -> int:
     a_n = a_{n-1} (2n+k-2)(2n+k-1) / (n(n+k)), or the closed form to start
     a run far from the last one."""
     label = f"conv(k={k})"
-    return _stepped(label, n,
-                    lambda i, prev: (prev * (2 * i + k - 2) * (2 * i + k - 1), i * (i + k)),
+    return _stepped(label, n, functools.partial(_conv_step, k),
                     lambda i: _exact(math.comb(2 * i + k, i) * k, 2 * i + k,
                                      f"{label} closed form", "n", i))
 

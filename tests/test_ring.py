@@ -9,7 +9,7 @@ from hankelshift import ring
 
 from hankelshift.errors import NonExactDivision, NonUnitConstantTerm
 from hankelshift.ring import Poly, Series, binomial, choose2_parity, sign_choose2
-from hankelshift.sequences import Catalan, CentralBinomial, catalan_number
+from hankelshift.sequences import Catalan, CentralBinomial, NarayanaC, catalan_number
 
 from anchors import CATALAN
 
@@ -200,6 +200,30 @@ def test_an_operand_serves_calls_of_different_slot_widths():
         assert len(shared._operand.packed) == 2
 
 
+T = Poly.monomial(1)
+
+
+@pytest.mark.parametrize("a, d, b, c, e, q", [
+    (ONE, Poly((1, 0, 1)), ONE, ONE, T ** 2, ONE),
+    (Poly((1, 2)), Poly((3, 0, 5)), Poly.const(3), Poly((1, 2)), T, Poly((0, 5, 10))),
+    (Poly((-7, 1)), Poly((2, 0, 0, 9)), Poly.const(2), Poly((-7, 1)), 3 * T ** 3,
+     Poly((-21, 3))),
+], ids=["1", "5t+10t^2", "-21+3t"])
+def test_cross_quotient_shifts_out_the_divisors_power_of_t(a, d, b, c, e, q):
+    # e has a higher power of t than either product, and the low slots of
+    # a*d - b*c cancel, so the packed numerator is shifted down before dividing.
+    assert ring.cross_quotient(a, d, b, c, e) == ring.schoolbook_cross_quotient(a, d, b, c, e) == q
+
+
+def test_cross_quotient_rejects_a_nonzero_slot_below_the_divisors_power_of_t():
+    # (1 + t + t^2) - 1 = t + t^2 is not divisible by t^2: its t slot is nonzero.
+    args = (ONE, Poly((1, 1, 1)), ONE, ONE, T ** 2)
+    with pytest.raises(NonExactDivision):
+        ring.cross_quotient(*args)
+    with pytest.raises(NonExactDivision):
+        ring.schoolbook_cross_quotient(*args)
+
+
 def test_kronecker_quotient_outside_the_digit_bound_falls_back_to_schoolbook():
     n = 40
     euler = Poly.const(1)
@@ -262,6 +286,17 @@ def test_poly_canonical_strings():
     assert str(Poly((0, 0, 0, -4, -4, -4))) == "-4*t^3-4*t^4-4*t^5"
     assert str(Poly((0, -1, -1))) == "-t-t^2"
     assert str(Poly((1, -1))) == "1-t"
+
+
+def test_poly_subtracted_from_an_int():
+    assert 3 - Poly((1, 2)) == Poly((2, -2))
+
+
+def test_series_canonical_strings():
+    assert (str(Catalan().series(7))
+            == "1 + x + 2*x^2 + 5*x^3 + 14*x^4 + 42*x^5 + 132*x^6 + O(x^7)")
+    assert (str(NarayanaC().series(5))
+            == "1 + x + (1+t)*x^2 + (1+3*t+t^2)*x^3 + (1+6*t+6*t^2+t^3)*x^4 + O(x^5)")
 
 
 def test_series_mul_catalan_square():

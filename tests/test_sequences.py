@@ -302,26 +302,38 @@ def test_a_window_extends_a_run_and_a_far_request_starts_one(cold_terms):
     # binom(2n, n) = (n+1) C_n reads one Catalan number, so a deep central
     # binomial holds one term, not the n terms below it.
     assert CentralBinomial().term(7300) == math.comb(14600, 7300)
-    assert sequences._runs["catalan"] == (7300, [catalan_number(7300)])
+    assert sequences._runs["conv(k=1)"] == (7300, [catalan_number(7300)])
     # The M-numbers have no one-binomial closed form, so they step from a_0.
     m_number(3, 500)
     start, run = sequences._runs["m-numbers(b=3)"]
     assert (start, len(run)) == (0, 501)
 
 
+def test_catalan_based_families_read_the_first_convolution_power(cold_terms):
+    # Catalan numbers are C^1, central binomials are (n+1) C_n and the
+    # M-numbers at b = 0 and 1 are C_n and C_{n+1}: five families, one run.
+    for fam in (Catalan(), CentralBinomial(), ConvCatalan(1), MNumbers(0), MNumbers(1)):
+        for n in range(301):
+            fam.term(n)
+    assert set(sequences._runs) == {"conv(k=1)"}
+    for n in [*range(301), 4000, 7300]:
+        c = catalan_number(n)
+        assert c == catalan_convolution(1, n) == math.comb(2 * n, n) // (n + 1) == m_number(0, n), n
+
+
 def test_a_step_that_leaves_a_remainder_raises(cold_terms, monkeypatch):
-    step = sequences._catalan_step
+    step = sequences._conv_step
 
-    def off_by_one(i, prev):
-        num, den = step(i, prev)
-        return num + (i == 70), den
+    def off_by_one(k, i, prev):
+        num, den = step(k, i, prev)
+        return num + (k == 1 and i == 70), den
 
-    monkeypatch.setattr(sequences, "_catalan_step", off_by_one)
+    monkeypatch.setattr(sequences, "_conv_step", off_by_one)
     assert catalan_number(69) == math.comb(138, 69) // 70
-    with pytest.raises(NonExactDivision, match=r"catalan recurrence .* at n=70"):
+    with pytest.raises(NonExactDivision, match=r"conv\(k=1\) recurrence .* at n=70"):
         catalan_number(70)
     # The m-numbers step reads the Catalan numbers, so it fails the same way.
-    with pytest.raises(NonExactDivision, match=r"catalan recurrence .* at n=70"):
+    with pytest.raises(NonExactDivision, match=r"conv\(k=1\) recurrence .* at n=70"):
         m_number(2, 80)
     with pytest.raises(NonExactDivision, match=r"narayana-c row 9 recurrence .* at k=3"):
         sequences._extend([1], 10, lambda k, c: (c * (9 - k) * (10 - k) + (k == 3),
@@ -331,7 +343,7 @@ def test_a_step_that_leaves_a_remainder_raises(cold_terms, monkeypatch):
 def test_a_closed_form_that_leaves_a_remainder_raises(cold_terms, monkeypatch):
     comb = math.comb
     monkeypatch.setattr(sequences.math, "comb", lambda n, k: comb(n, k) + 1)
-    with pytest.raises(NonExactDivision, match=r"catalan closed form .* at n=4000"):
+    with pytest.raises(NonExactDivision, match=r"conv\(k=1\) closed form .* at n=4000"):
         catalan_number(4000)
     with pytest.raises(NonExactDivision, match=r"conv\(k=3\) closed form .* at n=4000"):
         catalan_convolution(3, 4000)
