@@ -9,15 +9,18 @@ determinant (:func:`narayana_forward_det`).  Keeping both routes alive is
 deliberate: they cross-validate each other in the test suite.  As both
 run the packed kernel, the tests also audit the recursion by evaluation.
 
-Predictions returned by :func:`predict_backward` never evaluate the
-determinant they predict; that independence is what makes the verification
-grids meaningful.
+Every backward value has the shape :func:`backward_shape`, which
+:func:`predict_backward` fills with closed forms and conjecture c10 in
+:mod:`~hankelshift.verify` with forward determinants.  Predictions never
+evaluate the determinant they predict; that independence is what makes the
+verification grids meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import hankel
 from .errors import NonIntegerResult, UnsupportedFamily, ZeroDivisorEncountered
@@ -103,37 +106,43 @@ class Prediction:
     source: str
 
 
+def backward_shape(m: int, n: int, forward: Callable[[int], Poly]) -> Poly:
+    """Size-n determinant at backward shift -m: 1 at n=0, 0 for 1 <= n <= m
+    (the zero triangle), then (-1)^C(m+1,2) forward(n-m-1), called only then.
+    """
+    if n == 0:
+        return Poly.const(1)
+    if n <= m:
+        return Poly()
+    return sign_choose2(m + 1) * forward(n - m - 1)
+
+
 def predict_backward(family: SequenceFamily, m: int, n: int) -> Prediction:
     """Closed-form value of the size-n backward determinant at shift -m.
 
-    Shape shared by all supported families: 1 at n=0, then m zeros, then a
-    signed, scaled copy of the forward-shift value at n-m-1.  The t-families
-    scale by t^(n-m-1) (type B additionally by 2^(n-m-1)) and use the
-    recursion route, so no backward determinant is ever consulted.
+    :func:`backward_shape` with a scaled forward value at shift m+1, size r.
+    The t-families scale by t^r (type B additionally by 2^r) and use the
+    recursion route, so no backward determinant is ever consulted.  Other
+    families raise UnsupportedFamily when n > m.
     """
     if m < 1:
         raise ValueError("backward shift magnitude m must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    spec = hankel.HankelSpec(family, -m, n)
-    source = f"backshift closed form [{family.label}]"
-    if n == 0:
-        return Prediction(spec, Poly.const(1), source)
-    if n <= m:
-        return Prediction(spec, Poly(), source)
-    r = n - m - 1
-    sign = sign_choose2(m + 1)
-    if isinstance(family, (Catalan, MNumbers)):
-        value = Poly.const(sign * forward_catalan_det(m + 1, r))
-    elif isinstance(family, CentralBinomial):
-        value = Poly.const(sign * 2 ** r * forward_catalan_det(m + 1, r))
-    elif isinstance(family, NarayanaC):
-        value = Poly.monomial(r, sign) * narayana_forward_det_recursive(m + 1, r)
-    elif isinstance(family, NarayanaB):
-        value = Poly.monomial(r, sign * 2 ** r) * narayana_forward_det_recursive(m + 1, r)
-    else:
+
+    def forward(r: int) -> Poly:
+        if isinstance(family, (Catalan, MNumbers)):
+            return Poly.const(forward_catalan_det(m + 1, r))
+        if isinstance(family, CentralBinomial):
+            return Poly.const(2 ** r * forward_catalan_det(m + 1, r))
+        if isinstance(family, NarayanaC):
+            return Poly.monomial(r) * narayana_forward_det_recursive(m + 1, r)
+        if isinstance(family, NarayanaB):
+            return Poly.monomial(r, 2 ** r) * narayana_forward_det_recursive(m + 1, r)
         raise UnsupportedFamily(
             f"no proven backward closed form for {family.label}; "
             "convolution powers are covered by the conjecture checks instead"
         )
-    return Prediction(spec, value, source)
+
+    return Prediction(hankel.HankelSpec(family, -m, n), backward_shape(m, n, forward),
+                      f"backshift closed form [{family.label}]")

@@ -71,9 +71,10 @@ class HankelSpec:
 
 
 class Matrix:
-    """Immutable square grid of Poly entries."""
+    """Immutable square grid of Poly entries; whether every entry is
+    constant is decided once, on construction."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "all_constant")
 
     def __init__(self, rows: Sequence[Sequence[Poly]]) -> None:
         grid = tuple(tuple(row) for row in rows)
@@ -81,6 +82,7 @@ class Matrix:
             if len(row) != len(grid):
                 raise ValueError("matrix must be square")
         self.rows = grid
+        self.all_constant = all(e.is_constant for row in grid for e in row)
 
     @property
     def n(self) -> int:
@@ -88,10 +90,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
-
-    @property
-    def all_constant(self) -> bool:
-        return all(e.is_constant for row in self.rows for e in row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

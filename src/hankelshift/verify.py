@@ -1,7 +1,8 @@
 """Machine verification of determinant claims over explicit finite grids.
 
 Every claim is one entry of :data:`CLAIMS`: summary, proven or not, default
-grid, accepted k values and a cell walk.  A walk yields each cell's
+grid, accepted k values and a cell walk; the walk varies the axes its default
+grid spans.  A walk yields each cell's
 parameters, expected value and the :class:`~hankelshift.hankel.HankelSpec`
 whose determinant should equal it.  :func:`verify_claim`, the single entry
 point, is the only place that determinant is computed.  Expectations come
@@ -12,7 +13,8 @@ t8 and t9 expectations come from the Narayana recursion, which runs
 ``hankel._condense`` and ``ring.cross_quotient``, while the actual side runs
 ``cross_quotient`` on polynomial matrices and ``_condense`` on constant ones;
 and c10 relates two determinants, so both sides run the whole
-``hankel.det`` stack by design.
+``hankel.det`` stack by design: it states its conjecture through
+:func:`~hankelshift.closed_forms.backward_shape`, the theorems' shape.
 
 Proven claims (ids ``t1``, ``t6``, ``t7``, ``t8``, ``t9``) must pass on any
 grid; a failing cell there is a bug.  The conjectured claims (``c10``,
@@ -30,7 +32,7 @@ from typing import Callable, Iterator
 from . import closed_forms, hankel
 from .errors import IdentityViolation, NonIntegerResult
 from .hankel import HankelSpec
-from .ring import Poly, choose2_parity, sign_choose2
+from .ring import Poly, choose2_parity
 from .sequences import (
     Catalan,
     CentralBinomial,
@@ -205,63 +207,56 @@ def _arms(grid: GridRange):
 
 
 def _walk_c10(grid: GridRange):
-    """Backward (shift 1-off-m) against forward (shift m+1-k) determinants.
-
-    The claim relates two determinants; there is no closed form here.
+    """Backward determinants (shift -(m+off-1)) in the backward shape of the
+    forward determinants at shift m+1-k; there is no closed form here.
     """
     for k, order, off in _arms(grid):
         family = ConvCatalan(order)
         for m in range(grid.m_min, grid.m_max + 1):
-            bound = m + off                    # zero below this size
-            sign = sign_choose2(bound)
+            back = m + off - 1
             for n in range(grid.n_max + 1):
-                if n == 0:
-                    expected = Poly.const(1)
-                elif n < bound:
-                    expected = Poly()
-                else:
-                    expected = sign * hankel.det(HankelSpec(family, m + 1 - k, n - bound)).value
-                yield _params(k=order, m=m, n=n), expected, HankelSpec(family, 1 - off - m, n)
+                expected = closed_forms.backward_shape(
+                    back, n, lambda r: hankel.det(HankelSpec(family, m + 1 - k, r)).value)
+                yield _params(k=order, m=m, n=n), expected, HankelSpec(family, -back, n)
 
 
-def _units(order: int, off: int) -> tuple[int, int, dict[int, int]]:
-    """(period, step, {residue: extra}) of an arm's unit determinants at shift 1-off.
-
-    At size a = period*q + r the determinant is (-1)^(step*q + extra) when r
-    is a key, and 0 otherwise.
+def _units(order: int, off: int) -> tuple[int, Callable[[int], int]]:
+    """(period, unit) of an arm at shift 1-off, where unit(a) is c11's value at size a:
+    (-1)^(step*q + extra) at a = period*q + r with r a key of the residues, else 0.
     """
-    if order % 2 == 0:
-        return off, choose2_parity(off), {0: 0}
-    return order, off, {0: 0, off: choose2_parity(off)}
+    period, step, residues = ((off, choose2_parity(off), {0: 0}) if order % 2 == 0
+                              else (order, off, {0: 0, off: choose2_parity(off)}))
+
+    def unit(a: int) -> int:
+        q, r = divmod(a, period)
+        return (-1 if (step * q + residues[r]) & 1 else 1) if r in residues else 0
+
+    return period, unit
 
 
 def _walk_c11(grid: GridRange):
     """Unit/zero periodicity of the fully backward diagonal (shift 1-off)."""
     for k, order, off in _arms(grid):
         family = ConvCatalan(order)
-        period, step, units = _units(order, off)
+        _, unit = _units(order, off)
         for a in range(grid.n_max + 1):
-            q, r = divmod(a, period)
-            unit = (-1 if (step * q + units[r]) & 1 else 1) if r in units else 0
-            yield _params(k=order, m=0, n=a), Poly.const(unit), HankelSpec(family, 1 - off, a)
+            yield _params(k=order, m=0, n=a), Poly.const(unit(a)), HankelSpec(family, 1 - off, a)
 
 
 def _walk_c12(grid: GridRange):
     """Near-diagonal determinants (shift m+1-off) against signed powers, 0 <= m <= k.
 
-    On the unit residue r = off mod period of c11 the value is that unit
+    At the sizes a = period*q + off mod period the value is c11's unit at a
     times (q+1)^m, and on the odd arm also times order^m.  At k=1 the even
     arm is the two classical forward identities (1 at m=0, n+1 at m=1).
     """
     for k, order, off in _arms(grid):
         family = ConvCatalan(order)
-        period, step, units = _units(order, off)
-        r = off % period
+        period, unit = _units(order, off)
         scale = 1 if order % 2 == 0 else order
         for m in range(grid.m_min, min(k, grid.m_max) + 1):
-            for q, a in enumerate(range(r, grid.n_max + 1, period)):
-                sign = -1 if (step * q + units[r]) & 1 else 1
-                expected = Poly.const(sign * (scale * (q + 1)) ** m)
+            for q, a in enumerate(range(off % period, grid.n_max + 1, period)):
+                expected = Poly.const(unit(a) * (scale * (q + 1)) ** m)
                 yield _params(k=order, m=m, n=a), expected, HankelSpec(family, m + 1 - off, a)
 
 
@@ -308,8 +303,6 @@ class Claim:
     is_theorem: bool
     default: GridRange
     walk: Walk
-    # The grid axes among "k", "b" and "m" that the walk varies (n always is).
-    axes: str
     # Accepted k values as (lowest, highest or None); None when k is unused.
     k_domain: tuple[int, int | None] | None = None
     # True when the walk takes only m <= k, so m_max is capped at the largest k.
@@ -321,30 +314,29 @@ _CONV = GridRange(m_min=0, m_max=3, n_max=15, k_list=(1, 2, 3, 4))
 CLAIMS: dict[str, Claim] = {
     "t1": Claim("backward Catalan determinants equal the reflected product formula",
                 True, GridRange(m_min=1, m_max=5, n_max=25),
-                _backward(lambda grid: [(None, Catalan())], reflect=True), "m"),
+                _backward(lambda grid: [(None, Catalan())], reflect=True)),
     "t6": Claim("backward M-number determinants are b-independent and equal the Catalan ones",
                 True, GridRange(m_min=1, m_max=4, n_max=15, b_list=(-2, -1, 0, 1, 2, 3)),
-                _backward(lambda grid: [(b, MNumbers(b)) for b in grid.b_list], reflect=True),
-                "bm"),
+                _backward(lambda grid: [(b, MNumbers(b)) for b in grid.b_list], reflect=True)),
     "t7": Claim("backward central-binomial determinants carry an extra factor 2^(n-m-1)",
                 True, GridRange(m_min=1, m_max=4, n_max=15),
-                _backward(lambda grid: [(None, CentralBinomial())]), "m"),
+                _backward(lambda grid: [(None, CentralBinomial())])),
     "t8": Claim("backward Narayana determinants equal signed t-power times forward values",
                 True, GridRange(m_min=1, m_max=3, n_max=10),
-                _backward(lambda grid: [(None, NarayanaC())]), "m"),
+                _backward(lambda grid: [(None, NarayanaC())])),
     "t9": Claim("backward type-B Narayana determinants scale the same way by (2t)^(n-m-1)",
                 True, GridRange(m_min=1, m_max=3, n_max=10),
-                _backward(lambda grid: [(None, NarayanaB())]), "m"),
+                _backward(lambda grid: [(None, NarayanaB())])),
     "c10": Claim("backward convolution-power determinants mirror forward ones (conjecture)",
-                 False, _CONV, _walk_c10, "km", k_domain=(1, None)),
+                 False, _CONV, _walk_c10, k_domain=(1, None)),
     "c11": Claim("diagonal convolution-power determinants are unit/zero periodic (conjecture)",
-                 False, replace(_CONV, m_max=0), _walk_c11, "k", k_domain=(1, None)),
+                 False, replace(_CONV, m_max=0), _walk_c11, k_domain=(1, None)),
     "c12": Claim("near-diagonal convolution-power determinants grow like (n+1)^m (conjecture)",
-                 False, _CONV, _walk_c12, "km", k_domain=(1, None), m_up_to_k=True),
+                 False, _CONV, _walk_c12, k_domain=(1, None), m_up_to_k=True),
     "patterns": Claim(
         "order-k convolution determinants at shift 0 follow modular patterns (conjecture)",
         False, GridRange(m_min=0, m_max=0, n_max=21, k_list=tuple(_PATTERNS)),
-        _walk_patterns, "k", k_domain=(min(_PATTERNS), max(_PATTERNS))),
+        _walk_patterns, k_domain=(min(_PATTERNS), max(_PATTERNS))),
 }
 
 
@@ -352,9 +344,10 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
     """The grid :func:`verify_claim` walks and echoes for this request.
 
     No grid means the claim's default grid, an empty k or b list its default
-    k or b values.  Axes the claim does not walk are cleared (m to [0, 0]),
-    and m runs no wider than the walk does: from 1 for the backward
-    theorems, else from 0, and for c12 up to the largest k.  Raises
+    k or b values.  A claim walks the axes its default grid spans: k and b
+    where the default list is non-empty, m where the default m_max is above
+    0.  Other axes are cleared (m to [0, 0]), and m runs no wider than the
+    walk does: from the default m_min, and for c12 up to the largest k.  Raises
     ValueError for an unknown claim, a k or b value listed twice, a k
     outside the claim's domain or a grid whose walk yields no
     cell (an empty m or n range, or an m_min above every k for c12, which
@@ -364,19 +357,14 @@ def resolve_grid(claim_id: str, grid: GridRange | None = None) -> GridRange:
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
     claim = CLAIMS[claim_id]
-    grid = claim.default if grid is None else grid
-    if "b" not in claim.axes:
-        grid = replace(grid, b_list=())
-    elif not grid.b_list:
-        grid = replace(grid, b_list=claim.default.b_list)
-    if "k" not in claim.axes:
-        grid = replace(grid, k_list=())
-    elif not grid.k_list:
-        grid = replace(grid, k_list=claim.default.k_list)
-    if "m" not in claim.axes:
-        grid = replace(grid, m_min=0, m_max=0)
+    default = claim.default
+    grid = default if grid is None else grid
+    grid = replace(grid, k_list=default.k_list and (grid.k_list or default.k_list),
+                   b_list=default.b_list and (grid.b_list or default.b_list))
+    if default.m_max > 0:
+        grid = replace(grid, m_min=max(grid.m_min, default.m_min))
     else:
-        grid = replace(grid, m_min=max(grid.m_min, 1 if claim.is_theorem else 0))
+        grid = replace(grid, m_min=0, m_max=0)
     for axis, values in (("k", grid.k_list), ("b", grid.b_list)):
         if len(set(values)) < len(values):
             raise ValueError(f"claim {claim_id} lists a {axis} value more than once: {list(values)}")

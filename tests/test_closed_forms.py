@@ -1,5 +1,7 @@
 """Closed-form prediction tests."""
 
+from fractions import Fraction
+
 import pytest
 
 from hankelshift import (
@@ -19,7 +21,8 @@ from hankelshift import (
     reflection_check,
 )
 from hankelshift import hankel
-from hankelshift.errors import UnsupportedFamily, ZeroDivisorEncountered
+from hankelshift.closed_forms import backward_shape
+from hankelshift.errors import NonIntegerResult, UnsupportedFamily, ZeroDivisorEncountered
 from hankelshift.ring import sign_choose2
 from hankelshift.sequences import catalan_number
 
@@ -32,6 +35,14 @@ def test_forward_catalan_det_examples():
     assert forward_catalan_det(1, 7) == 1
     assert forward_catalan_det(4, 1) == 14
     assert forward_catalan_det(2, -4) == -3
+
+
+def test_forward_catalan_det_preconditions_and_integrality():
+    with pytest.raises(ValueError):
+        forward_catalan_det(-1, 3)
+    # The product is integral at every integer n; at n = 1/2 and m = 3 it is 5/2.
+    with pytest.raises(NonIntegerResult, match="5/2"):
+        forward_catalan_det(3, Fraction(1, 2))
 
 
 def test_forward_catalan_det_at_one_is_catalan():
@@ -142,6 +153,35 @@ def test_predict_backward_spec_points_at_backward_matrix():
 def test_predict_backward_rejects_convolution_families():
     with pytest.raises(UnsupportedFamily):
         predict_backward(ConvCatalan(3), 1, 4)
+
+
+def test_predict_backward_gives_any_family_its_zero_triangle():
+    # Up to n = m the shape needs no closed form; past it a convolution power has none.
+    assert [predict_backward(ConvCatalan(3), 2, n).value for n in range(3)] == [1, 0, 0]
+    with pytest.raises(UnsupportedFamily):
+        predict_backward(ConvCatalan(3), 2, 3)
+
+
+def test_backward_shape_calls_forward_only_past_the_zero_triangle():
+    calls = []
+
+    def forward(r):
+        calls.append(r)
+        return Poly((r, 1))
+
+    # m = -1 is c10's shape on its order-1 arm at m = 0: no zero triangle.
+    for m in range(-1, 5):
+        for n in range(10):
+            calls.clear()
+            value = backward_shape(m, n, forward)
+            if n == 0:
+                assert (value, calls) == (Poly.const(1), []), (m, n)
+            elif n <= m:
+                assert (value, calls) == (Poly(), []), (m, n)
+            else:
+                r = n - m - 1
+                assert calls == [r], (m, n)
+                assert value == sign_choose2(m + 1) * Poly((r, 1)), (m, n)
 
 
 def test_predict_backward_preconditions():

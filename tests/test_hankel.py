@@ -21,8 +21,15 @@ from hankelshift import (
     det_condensation,
     forward_catalan_det,
 )
-from hankelshift.errors import DimensionTooLarge
-from hankelshift.hankel import BAREISS, CONDENSATION, Matrix, _int_pivots, _poly_pivots
+from hankelshift.errors import DimensionTooLarge, NonExactDivision
+from hankelshift.hankel import (
+    BAREISS,
+    CONDENSATION,
+    Matrix,
+    _int_cross_quotient,
+    _int_pivots,
+    _poly_pivots,
+)
 from hankelshift.ring import sign_choose2
 
 from anchors import DET_CATALAN_BWD, DET_CATALAN_FWD, DET_NARAYANA_BWD
@@ -237,3 +244,17 @@ def test_ladder_recurrence_inside_valid_range():
             rhs = v(k - 1, n + k - 1) * v(k + 1, n + k - 1) - v(k, n + k - 1) ** 2
             assert lhs == rhs, (k, n)
 
+
+def test_bad_requests_raise():
+    with pytest.raises(ValueError, match="size"):
+        HankelSpec(Catalan(), 0, -1)
+    with pytest.raises(ValueError, match="square"):
+        Matrix([[Poly.const(1), Poly.const(2)]])
+    with pytest.raises(ValueError, match="bogus"):
+        det(HankelSpec(Catalan(), 0, 2), engine="bogus")
+
+
+def test_integer_update_raises_on_a_remainder():
+    assert _int_cross_quotient(3, 2, 1, 2, 2) == 2
+    with pytest.raises(NonExactDivision):
+        _int_cross_quotient(3, 1, 0, 0, 2)

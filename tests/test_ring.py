@@ -65,6 +65,11 @@ def test_poly_exact_div_rejects_inexact():
         Poly((1,)).exact_div(Poly())
 
 
+def test_poly_exact_div_rejects_a_divisor_of_higher_degree():
+    with pytest.raises(NonExactDivision, match="not divisible"):
+        Poly((1,)).exact_div(Poly((1, 1)))
+
+
 @given(polys, polys)
 def test_poly_mul_div_round_trip(a, b):
     if b.is_zero:
@@ -297,6 +302,11 @@ def test_series_canonical_strings():
             == "1 + x + 2*x^2 + 5*x^3 + 14*x^4 + 42*x^5 + 132*x^6 + O(x^7)")
     assert (str(NarayanaC().series(5))
             == "1 + x + (1+t)*x^2 + (1+3*t+t^2)*x^3 + (1+6*t+6*t^2+t^3)*x^4 + O(x^5)")
+
+
+def test_series_strings_skip_zero_and_sign_unit_coefficients():
+    assert str(Catalan().series(5).reciprocal()) == "1 + -x + -x^2 + -2*x^3 + -5*x^4 + O(x^5)"
+    assert str(Series([1, 0, 3], order=4)) == "1 + 3*x^2 + O(x^4)"
 
 
 def test_series_mul_catalan_square():

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hankelshift import GridRange, Poly, Report, hankel, verify_claim
+from hankelshift import GridRange, Poly, Report, closed_forms, hankel, verify, verify_claim
+from hankelshift.errors import IdentityViolation, NonIntegerResult
 from hankelshift.verify import CLAIMS, Cell, resolve_grid
 
 from anchors import DET_CONV
@@ -141,6 +143,19 @@ def test_modular_pattern_anchor_values():
 def test_modular_patterns_rejects_unknown_order():
     with pytest.raises(ValueError):
         verify_claim("patterns", GridRange(n_max=21, k_list=(8,)))
+
+
+def test_reflection_mismatch_is_raised_not_reported(monkeypatch):
+    # The two Catalan forms are one identity, so a mismatch is a bug in this package.
+    monkeypatch.setattr(closed_forms, "forward_catalan_det", lambda m, n: 7)
+    with pytest.raises(IdentityViolation, match="m=1, n=0"):
+        verify_claim("t1", GridRange(m_min=1, m_max=1, n_max=2))
+
+
+def test_non_integral_pattern_value_raises(monkeypatch):
+    monkeypatch.setitem(verify._PATTERNS, 3, (1, lambda q, s: (Fraction(3, 2),)))
+    with pytest.raises(NonIntegerResult, match="k=3, size 0"):
+        verify_claim("patterns", GridRange(n_max=2, k_list=(3,)))
 
 
 @pytest.fixture
@@ -278,11 +293,16 @@ def test_conjecture_report_text_states_range_and_caveat():
     assert "not proof" not in theorem_text
 
 
+# The grid axes among "k", "b" and "m" that each claim's walk varies (n always is).
+_AXES = {"t1": "m", "t6": "bm", "t7": "m", "t8": "m", "t9": "m",
+         "c10": "km", "c11": "k", "c12": "km", "patterns": "k"}
+
+
 @pytest.mark.parametrize("claim", sorted(CLAIMS))
 def test_report_echoes_only_the_axes_the_claim_walks(claim):
     report = verify_claim(claim, GridRange(m_min=-2, m_max=1, n_max=3,
                                            k_list=(3,), b_list=(1, 2)))
-    axes = CLAIMS[claim].axes
+    axes = _AXES[claim]
     assert report.range.k_list == ((3,) if "k" in axes else ())
     assert report.range.b_list == ((1, 2) if "b" in axes else ())
     low = 1 if CLAIMS[claim].is_theorem else 0
