@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -53,6 +54,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command line; :func:`main` keeps one per process."""
     parser = argparse.ArgumentParser(
         prog="hankelshift",
         description="Exact Hankel determinants of shifted Catalan-type sequences.",
@@ -99,6 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.set_defaults(run=run, parser=p)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser :func:`main` uses, built on the first call."""
+    return build_parser()
 
 
 def make_family(args: argparse.Namespace) -> SequenceFamily:
@@ -232,8 +240,13 @@ def _run_verify(args) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one request and return its exit code.
+
+    Every call in a process parses with one parser, built on the first call;
+    parsing does not change it, so one call never depends on another.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         text, code = args.run(args)
     except SystemExit as exc:  # argparse, or args.parser.error() inside a runner
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -9,7 +9,8 @@ in this module ever rounds: a division either succeeds exactly or raises
 ``Poly`` arithmetic is schoolbook.  The exact update (a*d - b*c) / e of every
 fraction-free step on polynomials is one packed big-int expression,
 :func:`cross_quotient`, whose docstring holds the argument for its exactness.
-A ``Poly`` keeps its packed form once it has been an operand there, so
+A ``Poly`` keeps its packed form once it has been an operand there, and a
+quotient of the kernel is born with the packed form it was computed in, so
 nothing outside this module decides how long a packing lives.
 """
 
@@ -95,24 +96,31 @@ def _unpack(value: int, nb: int, count: int) -> list[int]:
 
 
 class _Operand:
-    """p = t^v * p', kept on p once it is first an operand, p' packed once per slot width."""
+    """p = t^v * p', kept on p, with p' packed once per slot width."""
 
     __slots__ = ("v", "coeffs", "bits", "length", "packed")
 
-    def __init__(self, p: Poly) -> None:
+    def __init__(self, p: Poly, v: int, coeffs: tuple[int, ...], bits: int,
+                 packed: dict[int, int]) -> None:
         p._operand = self
-        cs = p.coeffs
-        self.v = _valuation(cs) if cs else 0
-        self.coeffs = cs[self.v:]
-        self.bits = _bits(cs) if cs else 0  # 0 exactly for the zero polynomial
-        self.length = len(self.coeffs)
-        self.packed: dict[int, int] = {}
+        self.v = v
+        self.coeffs = coeffs
+        self.bits = bits  # 0 exactly for the zero polynomial
+        self.length = len(coeffs)
+        self.packed = packed
 
     def at(self, nb: int) -> int:
         packed = self.packed.get(nb)
         if packed is None:
             packed = self.packed[nb] = _pack(self.coeffs, nb)
         return packed
+
+
+def _scanned(p: Poly) -> _Operand:
+    """The operand of a Poly that has none yet, read off its coefficients."""
+    cs = p.coeffs
+    v = _valuation(cs) if cs else 0
+    return _Operand(p, v, cs[v:], _bits(cs) if cs else 0, {})
 
 
 def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
@@ -122,8 +130,10 @@ def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     of the condensation wedge, which the Narayana recursion also runs.
     Operands recur across the calls of a step or layer (the pivot, the
     previous pivot, a row's lead, a layer's minors).  A Poly is immutable,
-    so its :class:`_Operand` is made on its first use and kept on it, and
-    each slot width is packed once per Poly.
+    so its :class:`_Operand` is kept on it, and each slot width is packed
+    once per Poly.  A Poly this function returns from the packed route is
+    born with its operand, packed at the width that produced it; any other
+    Poly gets its operand on its first use here.
 
     Packing (:func:`_pack`) evaluates at t = 2^W, W = 8*nb, a ring
     homomorphism Z[t] -> Z; a packed polynomial whose coefficients all fit
@@ -151,12 +161,18 @@ def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     balanced-digit forms of the same integer, and q*e' == M' exactly.  An
     entry whose quotient fails the bound is computed by
     :func:`schoolbook_cross_quotient`.
+
+    An accepted quotient is t^(v - ve) q if v > ve and q otherwise, so its
+    power of t is max(v - ve, 0) plus the number of zero low digits of q.
+    Its operand takes q's digits from the lowest nonzero one to the highest,
+    and q(2^W) shifted down by the zero low slots is that operand packed at
+    W: the quotient needs no scan and no pack at that width.
     """
-    A = a._operand or _Operand(a)
-    D = d._operand or _Operand(d)
-    B = b._operand or _Operand(b)
-    C = c._operand or _Operand(c)
-    E = e._operand or _Operand(e)
+    A = a._operand or _scanned(a)
+    D = d._operand or _scanned(d)
+    B = b._operand or _scanned(b)
+    C = c._operand or _scanned(c)
+    E = e._operand or _scanned(e)
     if not E.bits:
         raise NonExactDivision("division by the zero polynomial")
     first, second = A.bits and D.bits, B.bits and C.bits
@@ -198,10 +214,24 @@ def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     try:
         digits = _unpack(quot, nb, qlen)
     except OverflowError:
-        digits = None
-    if digits is None or _bits(digits) + E.bits + min(qlen, E.length).bit_length() > w - 2:
         return schoolbook_cross_quotient(a, d, b, c, e)
-    return Poly([0] * -low + digits if low < 0 else digits)
+    bits = _bits(digits)
+    if bits + E.bits + min(qlen, E.length).bit_length() > w - 2:
+        return schoolbook_cross_quotient(a, d, b, c, e)
+    # The quotient is born with its operand, packed at width nb; its
+    # coefficients are canonical as built, so Poly.__init__ is skipped.
+    top = qlen
+    while not digits[top - 1]:
+        top -= 1
+    zeros = 0
+    while not digits[zeros]:
+        zeros += 1
+    lead = tuple(digits[zeros:top])
+    vq = max(-low, 0) + zeros
+    q = Poly.__new__(Poly)
+    q.coeffs = (0,) * vq + lead
+    _Operand(q, vq, lead, bits, {nb: quot >> (w * zeros)})
+    return q
 
 
 def schoolbook_cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:

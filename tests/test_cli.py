@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hankelshift import hankel
+from hankelshift import cli, hankel
 from hankelshift.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_ERROR,
@@ -362,6 +362,29 @@ def test_vanishing_recursion_divisor_exits_1_without_traceback(monkeypatch, caps
     assert out == ""
     assert err.startswith("error: a divisor of the recursion")
     assert "Traceback" not in err
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    golden = (Path(__file__).parent / "golden"
+              / "det_--family_narayana-c_--shift_4_--size_14_--format_text.out")
+    try:
+        assert run(capsys, "gen", "--family", "catalan", "--from", "0", "--to", "3")[:2] == (
+            EXIT_OK, "1 1 2 5\n")
+        code, out, err = run(capsys, "det", "--family", "narayana-c", "--shift", "4",
+                             "--size", "fourteen")
+        assert code == EXIT_USAGE and out == "" and "invalid int value" in err
+        code, out, _ = run(capsys, "det", "--family", "narayana-c", "--shift", "4", "--size", "14")
+        assert code == EXIT_OK and out.encode("utf-8") == golden.read_bytes()
+        assert run(capsys, "table", "--family", "catalan", "--shift", "0", "--n-max", "3")[:2] == (
+            EXIT_OK, "m=0: 1, 1, 1, 1\n")
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert build() is not build()
 
 
 def test_byte_identical_reruns(capsys):

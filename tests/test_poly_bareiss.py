@@ -136,16 +136,60 @@ def test_cross_quotient_falls_back_when_the_digit_bound_fails(monkeypatch):
 
 
 def test_cross_quotient_makes_each_operand_once(monkeypatch):
+    # Both routes make an operand through ring._Operand: an operand read off a
+    # Poly's coefficients on its first use, and one a quotient is born with.
     made = []
     operand = ring._Operand
-    monkeypatch.setattr(ring, "_Operand", lambda p: made.append(p) or operand(p))
+    monkeypatch.setattr(ring, "_Operand", lambda p, *rest: made.append(p) or operand(p, *rest))
     e = Poly((1, 1))
     pivot = Poly((2, 1))
+    quotients = []
     for c in (Poly((1, 1, 1)), Poly((0, 3)), Poly((5,))):
         d = c * Poly((1, 4))
-        assert cross_quotient(pivot, d * e, pivot, c * e, e) == pivot * (d - c)
+        quotients.append(cross_quotient(pivot, d * e, pivot, c * e, e))
+        assert quotients[-1] == pivot * (d - c)
     # The pivot and the divisor serve all three calls, and each is made an operand once.
     assert sum(p is pivot for p in made) == 1 and sum(p is e for p in made) == 1
+    # Each quotient is born with its operand, and none is made again.
+    assert [sum(p is q for p in made) for q in quotients] == [1, 1, 1]
+
+
+def test_elimination_never_repacks_a_quotient_at_the_width_that_made_it(monkeypatch):
+    # A kernel quotient that reaches _unpack and not the schoolbook fallback
+    # came out of a packed expression at the width _unpack read it at.
+    births, packs, state = [], [], {}
+    kernel, unpack, fallback, pack = (hankel.cross_quotient, ring._unpack,
+                                      ring.schoolbook_cross_quotient, ring._pack)
+
+    def unpacking(value, nb, count):
+        state["nb"] = nb
+        return unpack(value, nb, count)
+
+    def falling_back(*args):
+        state["nb"] = None
+        return fallback(*args)
+
+    def traced_kernel(*args):
+        state["nb"] = None
+        quotient = kernel(*args)
+        if quotient and state["nb"] is not None:
+            births.append((quotient, state["nb"]))
+        return quotient
+
+    spec = HankelSpec(NarayanaB(), 4, 14)
+    expected = det(spec, engine=CONDENSATION).value
+    monkeypatch.setattr(ring, "_unpack", unpacking)
+    monkeypatch.setattr(ring, "schoolbook_cross_quotient", falling_back)
+    monkeypatch.setattr(ring, "_pack",
+                        lambda coeffs, nb: packs.append((coeffs, nb)) or pack(coeffs, nb))
+    monkeypatch.setattr(hankel, "cross_quotient", traced_kernel)
+    assert det_bareiss(build(spec)) == expected
+    assert births and packs
+    # _pack is handed an operand's own coefficient tuple, so identity names the Poly.
+    packed_at = {(id(coeffs), nb) for coeffs, nb in packs}
+    repacked = [(q, nb) for q, nb in births
+                if q._operand is not None and (id(q._operand.coeffs), nb) in packed_at]
+    assert repacked == []
 
 
 def row_degree_bound(matrix):

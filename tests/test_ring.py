@@ -208,6 +208,44 @@ def test_an_operand_serves_calls_of_different_slot_widths():
 T = Poly.monomial(1)
 
 
+def unit_led(coeffs):
+    """Polys of up to 7 coefficients drawn from ``coeffs``, with a constant term of +-1."""
+    return st.tuples(st.sampled_from((1, -1)), st.lists(coeffs, max_size=6)).map(
+        lambda t: Poly((t[0],) + tuple(t[1])))
+
+
+# (case, powers of t of the quotient, of the divisor, whether the numerator's
+# products have a lower power of t than their difference).  The divisor's
+# +-1-led cofactor keeps every quotient inside the digit bound.
+BORN_CASES = {
+    "quotient-has-a-power-of-t": (st.integers(1, 4), st.just(0), False),
+    "divisor-has-the-higher-power": (st.integers(0, 3), st.integers(1, 4), True),
+    "lowest-digit-is-zero": (st.integers(1, 4), st.just(0), True),
+}
+
+
+@pytest.mark.parametrize("case", BORN_CASES)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_quotient_is_born_with_the_operand_its_coefficients_give(case, data):
+    q_power, e_power, split = BORN_CASES[case]
+    q = T ** data.draw(q_power) * data.draw(unit_led(wide_ints))
+    e = T ** data.draw(e_power) * data.draw(unit_led(st.integers(-1, 1)))
+    # q*e as a*1 - b*1; split, b has a constant term, so a does too and the
+    # packed numerator has zero low slots.
+    b = data.draw(unit_led(small_ints)) if split else ZERO
+    a = q * e + b
+    with counting_fallbacks() as fallbacks:
+        quotient = ring.cross_quotient(a, ONE, b, ONE, e)
+    assert fallbacks == []
+    assert quotient.coeffs == q.coeffs and quotient.coeffs[-1] != 0
+    born, fresh = quotient._operand, ring._scanned(Poly(q.coeffs))
+    assert (born.v, born.coeffs, born.bits, born.length) == (
+        fresh.v, fresh.coeffs, fresh.bits, fresh.length)
+    [(nb, packed)] = born.packed.items()
+    assert packed == fresh.at(nb)
+
+
 @pytest.mark.parametrize("a, d, b, c, e, q", [
     (ONE, Poly((1, 0, 1)), ONE, ONE, T ** 2, ONE),
     (Poly((1, 2)), Poly((3, 0, 5)), Poly.const(3), Poly((1, 2)), T, Poly((0, 5, 10))),
