@@ -165,8 +165,21 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
     past the last row a swap has reached, and otherwise the pivot times the
     sign of the swaps (:func:`leading_minors` proves it).  Stops after
     yielding 0 when no later minor is nonzero.
+
+    A symmetric grid costs about half the updates.  After step k the entry
+    (i, j), i, j > k, is the bordered minor det A'[{0..k, i}, {0..k, j}] of
+    the grid A' with every swap so far applied up front.  While those swaps
+    stay inside the pivot rows (``end <= k + 1``), A' is A with its rows
+    0..k permuted, so that minor is sign(swaps) det A[{0..k, i}, {0..k, j}],
+    which a symmetric A makes symmetric in i and j.  Such a step computes
+    only j >= i and copies (j, i) into (i, j) for j < i: from step 0 on a
+    forward Hankel row, and from the step that closes each window, the zero
+    triangle of a backward row included.  A size-14 Narayana determinant
+    then takes 455 kernel calls at forward shifts and 533 to 699 at shifts
+    -1 to -4, where computing both triangles takes 819.
     """
     n = len(grid)
+    symmetric = all(grid[i][j] == grid[j][i] for i in range(n) for j in range(i))
     sign = 1
     prev = one
     end = 0
@@ -182,10 +195,13 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
         pivot = grid[k][k]
         yield zero if k < end - 1 else (pivot if sign == 1 else -pivot)
         row_k = grid[k]
+        mirror = symmetric and end <= k + 1
         for i in range(k + 1, n):
             row_i, lead = grid[i], grid[i][k]
-            for j in range(k + 1, n):
+            for j in range(i if mirror else k + 1, n):
                 row_i[j] = entry(pivot, row_i[j], lead, row_k[j], prev)
+            if mirror:
+                row_i[k + 1:i] = [grid[j][i] for j in range(k + 1, i)]
         prev = pivot
     result = grid[-1][-1]
     yield result if sign == 1 else -result
@@ -252,6 +268,13 @@ def leading_minors(spec: HankelSpec) -> list[Poly]:
     A backward shift -z starts the row with z zero minors: its zero triangle
     is the row's first window, of width z + 1 when a_0 != 0, and the first
     step swaps row z to the top.
+
+    A Hankel matrix is symmetric, and so is G at every step whose swaps all
+    stayed inside the pivot rows, since they then change each G_ij by one
+    common sign.  That holds from step 0 of a forward row and from the step
+    that closes each window, so those steps compute one triangle of G and
+    copy the other: a forward Catalan row at N = 25 takes 2600 integer
+    updates instead of 4900.
     """
     if spec.size == 0:
         return [Poly.const(1)]

@@ -5,7 +5,7 @@ import shlex
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelshift import (
@@ -171,6 +171,8 @@ def assert_pivots_are_the_leading_minors(rows):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(sparse_matrices)
+# Not symmetric, though its leading 2x2 block is: no step may mirror.
+@example([[1, 1, 0, 2], [1, 2, 3, 0], [0, 5, 1, 1], [1, 0, 2, 3]])
 def test_look_ahead_elimination_yields_every_leading_minor(rows):
     assert_pivots_are_the_leading_minors(rows)
 
@@ -178,6 +180,43 @@ def test_look_ahead_elimination_yields_every_leading_minor(rows):
 def test_every_3x3_sign_matrix_yields_its_leading_minors():
     for entries in itertools.product((-1, 0, 1), repeat=9):
         assert_pivots_are_the_leading_minors([entries[0:3], entries[3:6], entries[6:9]])
+
+
+def test_every_symmetric_4x4_zero_one_matrix_yields_its_leading_minors():
+    """Symmetric grids compute one triangle of each step whose swaps stayed
+    inside the pivot rows; these hold zero pivots, interior windows, windows
+    still open at the end and zero columns."""
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+    for entries in itertools.product((0, 1), repeat=len(upper)):
+        rows = [[0] * 4 for _ in range(4)]
+        for (i, j), v in zip(upper, entries):
+            rows[i][j] = rows[j][i] = v
+        assert_pivots_are_the_leading_minors(rows)
+
+
+def counting(monkeypatch, name):
+    """Count the calls hankel's elimination makes to its update ``name``."""
+    calls = []
+    update = getattr(hankel, name)
+    monkeypatch.setattr(hankel, name, lambda *args: calls.append(None) or update(*args))
+    return calls
+
+
+@pytest.mark.parametrize("shift, updates", [(4, 455), (-4, 699)])
+def test_a_hankel_determinant_updates_one_triangle(shift, updates, monkeypatch):
+    """Both triangles of a size-14 elimination take 1^2 + ... + 13^2 = 819
+    updates, one takes 1 + 3 + ... + 91 = 455.  A forward shift mirrors from
+    the first step; shift -4 only after its zero triangle, the first window,
+    closes at step 4."""
+    calls = counting(monkeypatch, "cross_quotient")
+    det_bareiss(build(HankelSpec(NarayanaB(), shift, 14)))
+    assert len(calls) == updates
+
+
+def test_a_forward_integer_row_updates_one_triangle(monkeypatch):
+    calls = counting(monkeypatch, "_int_cross_quotient")
+    leading_minors(HankelSpec(Catalan(), 0, 25))
+    assert len(calls) == sum(m * (m + 1) // 2 for m in range(1, 25))
 
 
 @dataclass(frozen=True)
