@@ -12,13 +12,22 @@ fraction-free step on polynomials is one packed big-int expression,
 A ``Poly`` keeps its packed form once it has been an operand there, and a
 quotient of the kernel is born with the packed form it was computed in, so
 nothing outside this module decides how long a packing lives.
+
+The packing codec (:func:`_pack`, :func:`_unpack`) converts every slot in C:
+8-byte slots as ``struct`` words, wider ones as the nb-byte fields of one
+``struct.Struct`` through ``int.to_bytes`` and ``int.from_bytes``.  Its
+constants depend only on the slot width and count, and are built once per
+pair (:func:`_slots`).  Interpreter steps, not big-int arithmetic, still
+take most of a kernel call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import struct
+from itertools import repeat
 from typing import Iterable
 
 from .errors import NonExactDivision, NonUnitConstantTerm
@@ -60,24 +69,31 @@ def _bits(coeffs: tuple[int, ...] | list[int]) -> int:
     return max(max(coeffs), -min(coeffs)).bit_length()
 
 
-def _slot_tops(nb: int, count: int) -> int:
-    """The integer whose ``count`` slots of ``nb`` bytes each hold 2^(8*nb-1)."""
-    return int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
+@functools.lru_cache(maxsize=1024)
+def _slots(nb: int, count: int) -> tuple[int, struct.Struct]:
+    """``count`` slots of ``nb`` bytes: the integer whose slots each hold
+    2^(8*nb-1), and the ``Struct`` of their fields, ``q`` words at nb = 8
+    and ``nb``-byte strings otherwise.  The kernel meets a few hundred
+    (nb, count) pairs, so each is built once, not once per call."""
+    tops = int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
+    return tops, struct.Struct(f"<{count}q" if nb == 8 else f"{nb}s" * count)
 
 
 def _pack(coeffs: tuple[int, ...], nb: int) -> int:
     """sum(c * 2^(8*nb*i)); every c must lie in [-2^(8*nb-1), 2^(8*nb-1)).
 
-    The two's complement slots plus 2^(8*nb-1) each (an XOR of the top bit)
-    are the nonnegative digits of the packed value plus ``_slot_tops``.
-    Slots of one 64-bit word are written by ``struct`` in one call.
+    Each c + 2^(8*nb-1) is a nonnegative nb-byte slot, so the slots read as
+    one integer are the packed value plus the tops of :func:`_slots`.  At
+    nb = 8 ``struct`` writes the slots as two's complement words in one
+    call, and XOR with the tops (flipping each slot's top bit) offsets them;
+    wider slots are written offset, by ``map`` over ``int.to_bytes``.
     """
-    tops = _slot_tops(nb, len(coeffs))
+    tops, fields = _slots(nb, len(coeffs))
     if nb == 8:
-        raw = struct.pack(f"<{len(coeffs)}q", *coeffs)
-    else:
-        raw = b"".join([c.to_bytes(nb, "little", signed=True) for c in coeffs])
-    return (int.from_bytes(raw, "little") ^ tops) - tops
+        return (int.from_bytes(fields.pack(*coeffs), "little") ^ tops) - tops
+    half = 1 << (8 * nb - 1)
+    raw = b"".join(map(int.to_bytes, [c + half for c in coeffs], repeat(nb), repeat("little")))
+    return int.from_bytes(raw, "little") - tops
 
 
 def _unpack(value: int, nb: int, count: int) -> list[int]:
@@ -85,14 +101,17 @@ def _unpack(value: int, nb: int, count: int) -> list[int]:
 
     These are the unique d_i in [-2^(8*nb-1), 2^(8*nb-1)) with
     value == sum(d_i * 2^(8*nb*i)); OverflowError if ``count`` slots cannot
-    hold such digits.
+    hold such digits.  value + tops has the offset digits d_i + 2^(8*nb-1)
+    as its slots, which ``struct`` splits in one call: as two's complement
+    words after the XOR at nb = 8, and otherwise as nb-byte fields that
+    ``map`` reads through ``int.from_bytes``, less the offset.
     """
-    tops = _slot_tops(nb, count)
-    raw = ((value + tops) ^ tops).to_bytes(nb * count, "little")
+    tops, fields = _slots(nb, count)
     if nb == 8:
-        return list(struct.unpack(f"<{count}q", raw))
-    return [int.from_bytes(raw[i:i + nb], "little", signed=True)
-            for i in range(0, nb * count, nb)]
+        return list(fields.unpack(((value + tops) ^ tops).to_bytes(8 * count, "little")))
+    half = 1 << (8 * nb - 1)
+    raw = (value + tops).to_bytes(nb * count, "little")
+    return [u - half for u in map(int.from_bytes, fields.unpack(raw), repeat("little"))]
 
 
 class _Operand:
@@ -173,50 +192,62 @@ def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     B = b._operand or _scanned(b)
     C = c._operand or _scanned(c)
     E = e._operand or _scanned(e)
-    if not E.bits:
+    ebits, elen = E.bits, E.length
+    if not ebits:
         raise NonExactDivision("division by the zero polynomial")
     first, second = A.bits and D.bits, B.bits and C.bits
     if first:
-        v1 = A.v + D.v
-        s1 = A.bits + D.bits + min(A.length, D.length).bit_length()
+        v1, alen, dlen = A.v + D.v, A.length, D.length
+        s1 = A.bits + D.bits + (alen if alen < dlen else dlen).bit_length()
     if second:
-        v2 = B.v + C.v
-        s2 = B.bits + C.bits + min(B.length, C.length).bit_length()
+        v2, blen, clen = B.v + C.v, B.length, C.length
+        s2 = B.bits + C.bits + (blen if blen < clen else clen).bit_length()
     if first and second:
-        s, v = max(s1, s2), min(v1, v2)
+        s, v = (s1 if s1 > s2 else s2), (v1 if v1 < v2 else v2)
     elif first:
         s, v = s1, v1
     elif second:
         s, v = s2, v2
     else:
         return Poly()
-    nb = max(8, (max(s + 1, E.bits) + 2 + 16 + 7) // 8)
+    s += 1
+    nb = ((s if s > ebits else ebits) + 2 + 16 + 7) // 8
+    if nb < 8:
+        nb = 8
     w = 8 * nb
     num = mlen = 0
     if first:
-        num = (A.at(nb) * D.at(nb)) << (w * (v1 - v))
-        mlen = v1 - v + A.length + D.length - 1
+        num = (A.packed.get(nb) or A.at(nb)) * (D.packed.get(nb) or D.at(nb))
+        if v1 > v:
+            num <<= w * (v1 - v)
+        mlen = v1 - v + alen + dlen - 1
     if second:
-        num -= (B.at(nb) * C.at(nb)) << (w * (v2 - v))
-        mlen = max(mlen, v2 - v + B.length + C.length - 1)
+        product = (B.packed.get(nb) or B.at(nb)) * (C.packed.get(nb) or C.at(nb))
+        if v2 > v:
+            product <<= w * (v2 - v)
+        num -= product
+        mlen2 = v2 - v + blen + clen - 1
+        if mlen2 > mlen:
+            mlen = mlen2
     low = E.v - v
     if low > 0:
         if num & ((1 << (w * low)) - 1):
             raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
         num >>= w * low
         mlen -= low
-    quot, rem = divmod(num, E.at(nb))
+    quot, rem = divmod(num, E.packed.get(nb) or E.at(nb))
     if rem:
         raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
     if not quot:
         return Poly()
-    qlen = mlen - E.length + 1
+    qlen = mlen - elen + 1
     try:
         digits = _unpack(quot, nb, qlen)
     except OverflowError:
         return schoolbook_cross_quotient(a, d, b, c, e)
-    bits = _bits(digits)
-    if bits + E.bits + min(qlen, E.length).bit_length() > w - 2:
+    hi, lo = max(digits), -min(digits)
+    bits = (hi if hi > lo else lo).bit_length()
+    if bits + ebits + (qlen if qlen < elen else elen).bit_length() > w - 2:
         return schoolbook_cross_quotient(a, d, b, c, e)
     # The quotient is born with its operand, packed at width nb; its
     # coefficients are canonical as built, so Poly.__init__ is skipped.
@@ -227,10 +258,10 @@ def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     while not digits[zeros]:
         zeros += 1
     lead = tuple(digits[zeros:top])
-    vq = max(-low, 0) + zeros
+    vq = zeros - low if low < 0 else zeros
     q = Poly.__new__(Poly)
-    q.coeffs = (0,) * vq + lead
-    _Operand(q, vq, lead, bits, {nb: quot >> (w * zeros)})
+    q.coeffs = (0,) * vq + lead if vq else lead
+    _Operand(q, vq, lead, bits, {nb: quot >> (w * zeros) if zeros else quot})
     return q
 
 

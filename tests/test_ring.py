@@ -120,12 +120,17 @@ def counting_fallbacks():
         ring.schoolbook_cross_quotient = fallback
 
 
+def slot_digits(nb, count):
+    """``count`` digits of nb-byte slots, often at the slot edges."""
+    top = 1 << (8 * nb - 1)
+    return st.lists(st.one_of(st.sampled_from(slot_edges(nb)), st.integers(-top, top - 1)),
+                    min_size=count, max_size=count)
+
+
+# Up to 150 slots: a size-14 Narayana determinant unpacks quotients of up to 59.
 @settings(deadline=None)
 @given(st.integers(1, 40).flatmap(
-    lambda nb: st.tuples(st.just(nb), st.lists(
-        st.one_of(st.sampled_from(slot_edges(nb)),
-                  st.integers(-(1 << (8 * nb - 1)), (1 << (8 * nb - 1)) - 1)),
-        min_size=1, max_size=12))))
+    lambda nb: st.tuples(st.just(nb), st.integers(1, 150).flatmap(lambda n: slot_digits(nb, n)))))
 def test_pack_unpack_round_trip_at_slot_edges(nb_digits):
     nb, digits = nb_digits
     packed = ring._pack(tuple(digits), nb)
@@ -208,19 +213,24 @@ def test_an_operand_serves_calls_of_different_slot_widths():
 T = Poly.monomial(1)
 
 
-def unit_led(coeffs):
+def unit_led(coeffs, min_size=0):
     """Polys of up to 7 coefficients drawn from ``coeffs``, with a constant term of +-1."""
-    return st.tuples(st.sampled_from((1, -1)), st.lists(coeffs, max_size=6)).map(
+    return st.tuples(st.sampled_from((1, -1)), st.lists(coeffs, min_size=min_size, max_size=6)).map(
         lambda t: Poly((t[0],) + tuple(t[1])))
 
 
 # (case, powers of t of the quotient, of the divisor, whether the numerator's
-# products have a lower power of t than their difference).  The divisor's
-# +-1-led cofactor keeps every quotient inside the digit bound.
+# products have a lower power of t than their difference, the quotient's
+# cofactor, the least slot width in bytes).  The divisor's +-1-led cofactor
+# keeps every quotient inside the digit bound.  A coefficient of 2^70 or more
+# needs slots wider than one 64-bit word.
 BORN_CASES = {
-    "quotient-has-a-power-of-t": (st.integers(1, 4), st.just(0), False),
-    "divisor-has-the-higher-power": (st.integers(0, 3), st.integers(1, 4), True),
-    "lowest-digit-is-zero": (st.integers(1, 4), st.just(0), True),
+    "quotient-has-a-power-of-t": (st.integers(1, 4), st.just(0), False, unit_led(wide_ints), 8),
+    "divisor-has-the-higher-power": (st.integers(0, 3), st.integers(1, 4), True,
+                                     unit_led(wide_ints), 8),
+    "lowest-digit-is-zero": (st.integers(1, 4), st.just(0), True, unit_led(wide_ints), 8),
+    "quotient-needs-wide-slots": (st.integers(0, 3), st.integers(0, 3), True, unit_led(
+        st.integers(2 ** 70, 2 ** 100).flatmap(lambda v: st.sampled_from((v, -v))), 1), 9),
 }
 
 
@@ -228,8 +238,8 @@ BORN_CASES = {
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_a_quotient_is_born_with_the_operand_its_coefficients_give(case, data):
-    q_power, e_power, split = BORN_CASES[case]
-    q = T ** data.draw(q_power) * data.draw(unit_led(wide_ints))
+    q_power, e_power, split, q_cofactor, min_nb = BORN_CASES[case]
+    q = T ** data.draw(q_power) * data.draw(q_cofactor)
     e = T ** data.draw(e_power) * data.draw(unit_led(st.integers(-1, 1)))
     # q*e as a*1 - b*1; split, b has a constant term, so a does too and the
     # packed numerator has zero low slots.
@@ -238,12 +248,38 @@ def test_a_quotient_is_born_with_the_operand_its_coefficients_give(case, data):
     with counting_fallbacks() as fallbacks:
         quotient = ring.cross_quotient(a, ONE, b, ONE, e)
     assert fallbacks == []
+    assert quotient == ring.schoolbook_cross_quotient(a, ONE, b, ONE, e)
     assert quotient.coeffs == q.coeffs and quotient.coeffs[-1] != 0
     born, fresh = quotient._operand, ring._scanned(Poly(q.coeffs))
     assert (born.v, born.coeffs, born.bits, born.length) == (
         fresh.v, fresh.coeffs, fresh.bits, fresh.length)
     [(nb, packed)] = born.packed.items()
-    assert packed == fresh.at(nb)
+    assert nb >= min_nb
+    assert packed == fresh.at(nb) == ring._pack(born.coeffs, nb)
+
+
+def test_results_do_not_depend_on_the_slot_table():
+    # Two updates unpack 4 and 7 slots of 8 bytes, and one whose 70-bit
+    # coefficient needs 12-byte slots.  Each call order runs on fresh Polys
+    # from an empty (width, count) table, then again with the table warm;
+    # every run gives the same results and born operands.
+    runs = []
+    for order in ((0, 1, 2), (2, 1, 0)):
+        ring._slots.cache_clear()
+        for _ in range(2):
+            e = Poly((1, 1))
+            calls = [(Poly((2, -1, 3)), e * Poly((1, 2)), e, Poly((0, 5)), e),
+                     (Poly((2, -1, 3, 4, -5)), e * Poly((7, 0, 1)), e, Poly((0, 5)), e),
+                     (Poly((2, -1, 3)), e * Poly((2 ** 70, -3)), e, Poly((0, 5)), e)]
+            with counting_fallbacks() as fallbacks:
+                results = {i: ring.cross_quotient(*calls[i]) for i in order}
+            assert fallbacks == []
+            assert [results[i] for i in range(3)] == [
+                ring.schoolbook_cross_quotient(*args) for args in calls]
+            runs.append([(q.coeffs, q._operand.v, q._operand.coeffs, q._operand.bits,
+                          q._operand.length, q._operand.packed) for q in map(results.get, range(3))])
+    assert all(run == runs[0] for run in runs)
+    assert [sorted(state[-1]) for state in runs[0]] == [[8], [8], [12]]
 
 
 @pytest.mark.parametrize("a, d, b, c, e, q", [
