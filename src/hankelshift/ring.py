@@ -92,6 +92,7 @@ def _pack(coeffs: tuple[int, ...], nb: int) -> int:
     if nb == 8:
         return (int.from_bytes(fields.pack(*coeffs), "little") ^ tops) - tops
     half = 1 << (8 * nb - 1)
+    # The byte order is passed: before Python 3.11 it has no default.
     raw = b"".join(map(int.to_bytes, [c + half for c in coeffs], repeat(nb), repeat("little")))
     return int.from_bytes(raw, "little") - tops
 
