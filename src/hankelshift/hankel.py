@@ -25,11 +25,11 @@ raised loudly by :func:`cross_check`.
 elimination.  By Sylvester's identity the state after k steps is a matrix
 of bordered minors whose leading j x j block has determinant
 d(k)^(j-1) d(k+j), so a vanishing d(k+1) opens a look-ahead window up to
-the least nonsingular block.  The ordinary swap of a zero pivot with the
-first nonzero row below never leaves that block, so when the window closes
-the pivot rows are again the leading rows, and each later pivot is again a
-leading minor up to sign.  The zero triangle of a backward shift is the
-row's first such window.
+the least nonsingular block.  A zero pivot is swapped, rows and columns
+alike while the grid is symmetric, with an index inside that block, so
+when the window closes the pivot rows are again the leading rows, and each
+later pivot is again a leading minor up to sign.  The zero triangle of a
+backward shift is the row's first such window.
 """
 
 from __future__ import annotations
@@ -158,44 +158,61 @@ def _eliminate(grid: list[list[T]], one: T, zero: T,
     """Fraction-free elimination over any exact ring, in place.
 
     ``entry`` maps (pivot, a_ij, a_ik, a_kj, previous pivot) to the exact
-    quotient (pivot*a_ij - a_ik*a_kj) / previous pivot.  A zero pivot is
-    swapped with the first row below it whose entry in the pivot column is
-    nonzero.  Yields d(1), ..., d(n), the leading principal minors of the
-    grid as given: 0 at each step before ``end - 1``, where ``end`` is one
-    past the last row a swap has reached, and otherwise the pivot times the
-    sign of the swaps (:func:`leading_minors` proves it).  Stops after
-    yielding 0 when no later minor is nonzero.
+    quotient (pivot*a_ij - a_ik*a_kj) / previous pivot.  At a zero pivot k,
+    r is the first row below whose entry in column k is nonzero.  While the
+    grid is still symmetric (``rows_end <= k``), rows and columns k and s
+    are swapped for the first s in k+1..r with a nonzero diagonal entry;
+    otherwise rows k and r are.  Yields d(1), ..., d(n), the leading
+    principal minors of the grid as given: 0 at each step before
+    ``end - 1``, where ``end`` is one past the last index any swap has
+    reached (``rows_end`` the same for row swaps alone), and otherwise the
+    pivot times the sign of the row swaps (:func:`leading_minors` proves
+    it).  Stops after yielding 0 when no later minor is nonzero; it may
+    yield another 0 before it stops.
 
     A symmetric grid costs about half the updates.  After step k the entry
     (i, j), i, j > k, is the bordered minor det A'[{0..k, i}, {0..k, j}] of
-    the grid A' with every swap so far applied up front.  While those swaps
-    stay inside the pivot rows (``end <= k + 1``), A' is A with its rows
-    0..k permuted, so that minor is sign(swaps) det A[{0..k, i}, {0..k, j}],
-    which a symmetric A makes symmetric in i and j.  Such a step computes
-    only j >= i and copies (j, i) into (i, j) for j < i: from step 0 on a
-    forward Hankel row, and from the step that closes each window, the zero
-    triangle of a backward row included.  A size-14 Narayana determinant
-    then takes 455 kernel calls at forward shifts and 533 to 699 at shifts
-    -1 to -4, where computing both triangles takes 819.
+    the grid A' with every swap so far applied up front.  A symmetric swap
+    is made only while the row swaps have permuted rows 0..k-1 alone, so it
+    commutes with them, and A' is P A P^T with its rows 0..``rows_end - 1``
+    permuted, P the symmetric swaps.  While ``rows_end <= k + 1`` that
+    minor is sign(row swaps) det (P A P^T)[{0..k, i}, {0..k, j}], which a
+    symmetric A makes symmetric in i and j.  Such a step computes only
+    j >= i and copies (j, i) into (i, j) for j < i.  Symmetric swaps keep
+    the grid symmetric through every window, the zero triangle of a
+    backward row included, so a size-14 Narayana determinant takes 455
+    kernel calls at every shift -4..4, where computing both triangles
+    takes 819.  Only a window whose first column has no nonzero diagonal
+    entry within reach takes a row swap, and mirrors again from the step
+    that closes it.
     """
     n = len(grid)
     symmetric = all(grid[i][j] == grid[j][i] for i in range(n) for j in range(i))
     sign = 1
     prev = one
-    end = 0
+    end = rows_end = 0
     for k in range(n - 1):
         if grid[k][k] == zero:
             r = next((r for r in range(k + 1, n) if grid[r][k] != zero), None)
             if r is None:
                 yield zero
                 return
-            grid[k], grid[r] = grid[r], grid[k]
-            sign = -sign
-            end = max(end, r + 1)
+            s = None
+            if symmetric and rows_end <= k:
+                s = next((s for s in range(k + 1, r + 1) if grid[s][s] != zero), None)
+            if s is None:
+                grid[k], grid[r] = grid[r], grid[k]
+                sign = -sign
+                end, rows_end = max(end, r + 1), max(rows_end, r + 1)
+            else:
+                grid[k], grid[s] = grid[s], grid[k]
+                for row in grid[k:]:
+                    row[k], row[s] = row[s], row[k]
+                end = max(end, s + 1)
         pivot = grid[k][k]
         yield zero if k < end - 1 else (pivot if sign == 1 else -pivot)
         row_k = grid[k]
-        mirror = symmetric and end <= k + 1
+        mirror = symmetric and rows_end <= k + 1
         for i in range(k + 1, n):
             row_i, lead = grid[i], grid[i][k]
             for j in range(i if mirror else k + 1, n):
@@ -255,26 +272,36 @@ def leading_minors(spec: HankelSpec) -> list[Poly]:
 
     When d(k+1) = 0 a window opens, up to the least w >= 2 with
     d(k+w) != 0, that is, the least nonsingular block G[k:k+w, k:k+w].  A
-    zero pivot inside it is swapped with the first nonzero row below, and
-    that row lies in the block: the Schur complement of the pivots already
-    taken from the block is nonsingular, so its first column is nonzero
-    there.  So the swaps permute the rows {0..k+w-1} among themselves, and
-    the pivot of step k+w-1 is d(k+w) times their sign.  No earlier step of
-    the window is at ``end - 1`` in :func:`_eliminate`, for its pivot would
-    then be a nonzero d(k+j) with j < w.  d(k+1..k+w-1) are 0, and every
-    later pivot is again some d(n) with that sign.  A zero column below a
-    zero pivot means no later minor is nonzero.
+    zero pivot inside it has a first nonzero row r below, and r lies in the
+    block: the Schur complement of the pivots already taken from the block
+    is nonsingular, so its first column is nonzero there.  The pivot comes
+    from a symmetric swap with the first s in k+1..r whose diagonal entry
+    is nonzero, or from a row swap with r when there is none or the grid is
+    no longer symmetric.  s <= r, so every swap permutes indices inside the
+    block.  A symmetric swap applies one permutation to rows and columns,
+    which changes no bordered minor and does not flip the sign; a row swap
+    flips it.  So at any step k' whose swaps so far all permuted indices
+    within 0..k', the pivot is d(k'+1) times the sign of the row swaps.  In
+    :func:`_eliminate`, ``end`` is one past the last index a swap has
+    reached, so the step k+w-1 is such a step and its pivot is d(k+w) up to
+    sign.  No earlier step of the window is at or past ``end - 1``, for its
+    pivot would then be a nonzero d(k+j) with j < w; those steps yield 0,
+    which d(k+1..k+w-1) are.  A zero column below a zero pivot means no
+    later minor is nonzero.  A symmetric swap can meet that column one
+    step later than a row swap would, so the elimination may yield one more
+    0 before it stops; the row is padded with zeros either way.
 
     A backward shift -z starts the row with z zero minors: its zero triangle
-    is the row's first window, of width z + 1 when a_0 != 0, and the first
-    step swaps row z to the top.
+    is the row's first window, of width z + 1 when a_0 != 0.  Its diagonal
+    entries are a_{2s-z}, so when a_0 and a_1 are nonzero the first step
+    swaps row and column ceil(z/2) to the front instead of moving row z up.
 
-    A Hankel matrix is symmetric, and so is G at every step whose swaps all
-    stayed inside the pivot rows, since they then change each G_ij by one
-    common sign.  That holds from step 0 of a forward row and from the step
-    that closes each window, so those steps compute one triangle of G and
-    copy the other: a forward Catalan row at N = 25 takes 2600 integer
-    updates instead of 4900.
+    A Hankel matrix is symmetric, and so is G at every step whose row swaps
+    stayed inside the pivot rows, since symmetric swaps keep the grid
+    symmetric and the row swaps then change each G_ij by one common sign.
+    Steps that hold compute one triangle of G and copy the other: a
+    Catalan row at N = 25 takes 2600 integer updates instead of 4900, from
+    step 0 at shift 0 and through the zero triangle at shift -8 alike.
     """
     if spec.size == 0:
         return [Poly.const(1)]

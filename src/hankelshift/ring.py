@@ -11,7 +11,10 @@ fraction-free step on polynomials is one packed big-int expression,
 :func:`cross_quotient`, whose docstring holds the argument for its exactness.
 A ``Poly`` keeps its packed form once it has been an operand there, and a
 quotient of the kernel is born with the packed form it was computed in, so
-nothing outside this module decides how long a packing lives.
+nothing outside this module decides how long a packing lives.  Each update
+is packed at the least slot width its operands' bounds allow, and only an
+update whose quotient fails the digit bound there is computed again 16
+bits wider.
 
 The packing codec (:func:`_pack`, :func:`_unpack`) converts every slot in C:
 8-byte slots as ``struct`` words, wider ones as the nb-byte fields of one
@@ -165,11 +168,11 @@ def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     below 2^s1, s1 = bits a' + bits d' + bitlen(min(len a', len d')), and
     the numerator M = t^(v1-v) a'd' - t^(v2-v) b'c' (v = min(v1, v2)) has
     coefficients below 2^(max(s1, s2) + 1).  W is the larger of
-    max(s1, s2) + 1 and bits e', plus 2 bits and 16 bits of slack, rounded
-    up to whole bytes and to at least one 64-bit word (whose slots ``struct``
-    reads and writes in one call); so slots of W bits hold every coefficient
-    of M and e' as a balanced digit, and M(2^W) is one integer expression
-    over the packed operands.
+    max(s1, s2) + 1 and bits e', plus 2 bits, rounded up to whole bytes and
+    to at least one 64-bit word (whose slots ``struct`` reads and writes in
+    one call); so slots of W bits hold every coefficient of M and e' as a
+    balanced digit, and M(2^W) is one integer expression over the packed
+    operands.
 
     e divides the numerator only if t^ve does, which for ve > v is the test
     that the low ve - v slots of M(2^W) are zero; they are shifted out, and
@@ -178,9 +181,17 @@ def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     remainder leaves an integer quotient whose balanced digits q are
     accepted only if bits q + bits e' + bitlen(min(len q, len e')) <= W - 2:
     then every coefficient of q*e' fits a slot, so q*e' and M' are two
-    balanced-digit forms of the same integer, and q*e' == M' exactly.  An
-    entry whose quotient fails the bound is computed by
-    :func:`schoolbook_cross_quotient`.
+    balanced-digit forms of the same integer, and q*e' == M' exactly.
+
+    An entry whose quotient fails the bound is computed once more with 16
+    more bits before the rounding, and by :func:`schoolbook_cross_quotient`
+    only if it fails there too or that width rounds to the same bytes.
+    Every step above holds at any W that holds the bounds of M and e', so a
+    nonzero remainder or slot at the first width already proves the
+    division inexact, and the digit bound alone decides acceptance at
+    either width.  The retry serves a divisor wider than its dividend and a
+    numerator that cancels below its quotient: the least width can leave
+    such a quotient's digits no room under the bound.
 
     An accepted quotient is t^(v - ve) q if v > ve and q otherwise, so its
     power of t is max(v - ve, 0) plus the number of zero low digits of q.
@@ -212,44 +223,55 @@ def cross_quotient(a: Poly, d: Poly, b: Poly, c: Poly, e: Poly) -> Poly:
     else:
         return Poly()
     s += 1
-    nb = ((s if s > ebits else ebits) + 2 + 16 + 7) // 8
+    held = (s if s > ebits else ebits) + 2
+    nb = (held + 7) // 8
     if nb < 8:
         nb = 8
-    w = 8 * nb
-    num = mlen = 0
+    retry = (held + 16 + 7) // 8
+    mlen = 0
     if first:
-        num = (A.packed.get(nb) or A.at(nb)) * (D.packed.get(nb) or D.at(nb))
-        if v1 > v:
-            num <<= w * (v1 - v)
         mlen = v1 - v + alen + dlen - 1
     if second:
-        product = (B.packed.get(nb) or B.at(nb)) * (C.packed.get(nb) or C.at(nb))
-        if v2 > v:
-            product <<= w * (v2 - v)
-        num -= product
         mlen2 = v2 - v + blen + clen - 1
         if mlen2 > mlen:
             mlen = mlen2
     low = E.v - v
     if low > 0:
-        if num & ((1 << (w * low)) - 1):
-            raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
-        num >>= w * low
         mlen -= low
-    quot, rem = divmod(num, E.packed.get(nb) or E.at(nb))
-    if rem:
-        raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
-    if not quot:
-        return Poly()
     qlen = mlen - elen + 1
-    try:
-        digits = _unpack(quot, nb, qlen)
-    except OverflowError:
-        return schoolbook_cross_quotient(a, d, b, c, e)
-    hi, lo = max(digits), -min(digits)
-    bits = (hi if hi > lo else lo).bit_length()
-    if bits + ebits + (qlen if qlen < elen else elen).bit_length() > w - 2:
-        return schoolbook_cross_quotient(a, d, b, c, e)
+    while True:
+        w = 8 * nb
+        num = 0
+        if first:
+            num = (A.packed.get(nb) or A.at(nb)) * (D.packed.get(nb) or D.at(nb))
+            if v1 > v:
+                num <<= w * (v1 - v)
+        if second:
+            product = (B.packed.get(nb) or B.at(nb)) * (C.packed.get(nb) or C.at(nb))
+            if v2 > v:
+                product <<= w * (v2 - v)
+            num -= product
+        if low > 0:
+            if num & ((1 << (w * low)) - 1):
+                raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
+            num >>= w * low
+        quot, rem = divmod(num, E.packed.get(nb) or E.at(nb))
+        if rem:
+            raise NonExactDivision(f"({a}*{d} - {b}*{c}) is not divisible by ({e})")
+        if not quot:
+            return Poly()
+        try:
+            digits = _unpack(quot, nb, qlen)
+        except OverflowError:
+            pass
+        else:
+            hi, lo = max(digits), -min(digits)
+            bits = (hi if hi > lo else lo).bit_length()
+            if bits + ebits + (qlen if qlen < elen else elen).bit_length() <= w - 2:
+                break
+        if retry <= nb:
+            return schoolbook_cross_quotient(a, d, b, c, e)
+        nb = retry
     # The quotient is born with its operand, packed at width nb; its
     # coefficients are canonical as built, so Poly.__init__ is skipped.
     top = qlen

@@ -177,6 +177,25 @@ def test_look_ahead_elimination_yields_every_leading_minor(rows):
     assert_pivots_are_the_leading_minors(rows)
 
 
+# Symmetric with a zero diagonal: a zero pivot is left by a symmetric swap
+# while the grid is symmetric and a diagonal entry within reach is nonzero,
+# and by a row swap otherwise, so both kinds meet in one elimination.
+@st.composite
+def zero_diagonal_symmetric_matrices(draw):
+    n = draw(st.integers(1, 7))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from([0, 0, 1, -1, 2]))
+    return rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(zero_diagonal_symmetric_matrices())
+def test_symmetric_swaps_keep_every_leading_minor(rows):
+    assert_pivots_are_the_leading_minors(rows)
+
+
 def test_every_3x3_sign_matrix_yields_its_leading_minors():
     for entries in itertools.product((-1, 0, 1), repeat=9):
         assert_pivots_are_the_leading_minors([entries[0:3], entries[3:6], entries[6:9]])
@@ -202,21 +221,33 @@ def counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("shift, updates", [(4, 455), (-4, 699)])
-def test_a_hankel_determinant_updates_one_triangle(shift, updates, monkeypatch):
+@pytest.mark.parametrize("family", [NarayanaC(), NarayanaB()], ids=lambda f: f.label)
+@pytest.mark.parametrize("shift", range(-4, 5))
+def test_a_hankel_determinant_updates_one_triangle(family, shift, monkeypatch):
     """Both triangles of a size-14 elimination take 1^2 + ... + 13^2 = 819
     updates, one takes 1 + 3 + ... + 91 = 455.  A forward shift mirrors from
-    the first step; shift -4 only after its zero triangle, the first window,
-    closes at step 4."""
+    the first step.  A backward shift leaves its zero triangle, the first
+    window, by symmetric swaps, so it mirrors from the first step too."""
     calls = counting(monkeypatch, "cross_quotient")
-    det_bareiss(build(HankelSpec(NarayanaB(), shift, 14)))
-    assert len(calls) == updates
+    det_bareiss(build(HankelSpec(family, shift, 14)))
+    assert len(calls) == 455
 
 
 def test_a_forward_integer_row_updates_one_triangle(monkeypatch):
     calls = counting(monkeypatch, "_int_cross_quotient")
     leading_minors(HankelSpec(Catalan(), 0, 25))
     assert len(calls) == sum(m * (m + 1) // 2 for m in range(1, 25))
+
+
+@pytest.mark.parametrize("family, shift", [(Catalan(), -8), (ConvCatalan(3), 0), (MNumbers(-1), 1)],
+                         ids=["catalan--8", "conv3-0", "m-numbers-b-1-1"])
+def test_integer_rows_through_windows_update_one_triangle(family, shift, monkeypatch):
+    """A backward zero triangle, the interior windows of conv(k=3) at shift 0
+    and those of m-numbers b = -1 at shift 1 are all left by symmetric swaps,
+    so each row at N = 25 takes the 2600 updates of a forward row."""
+    calls = counting(monkeypatch, "_int_cross_quotient")
+    leading_minors(HankelSpec(family, shift, 25))
+    assert len(calls) == sum(m * (m + 1) // 2 for m in range(1, 25)) == 2600
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,13 @@ def test_cross_quotient_slots_cover_a_divisor_wider_than_the_dividend():
     # One 64-bit word covers the numerator's slot bound with its slack, not the divisor.
     assert ring._bits(b.coeffs) >= 64 > ring._bits(a.coeffs) + 3 + 18
     with counting_fallbacks() as fallbacks:
-        assert ring.cross_quotient(a, ONE, ZERO, ZERO, b) == q
+        quotient = ring.cross_quotient(a, ONE, ZERO, ZERO, b)
+    assert quotient == q
     assert fallbacks == []
+    # The least width, 10 bytes for b's 72 bits, leaves q*b's digits no room
+    # under the digit bound; the retry 16 bits wider, 12 bytes, gives them room.
+    assert sorted(b._operand.packed) == [10, 12]
+    assert list(quotient._operand.packed) == [12]
     assert a.exact_div(b) == q
 
 
@@ -260,7 +265,7 @@ def test_a_quotient_is_born_with_the_operand_its_coefficients_give(case, data):
 
 def test_results_do_not_depend_on_the_slot_table():
     # Two updates unpack 4 and 7 slots of 8 bytes, and one whose 70-bit
-    # coefficient needs 12-byte slots.  Each call order runs on fresh Polys
+    # coefficient needs 10-byte slots.  Each call order runs on fresh Polys
     # from an empty (width, count) table, then again with the table warm;
     # every run gives the same results and born operands.
     runs = []
@@ -279,7 +284,7 @@ def test_results_do_not_depend_on_the_slot_table():
             runs.append([(q.coeffs, q._operand.v, q._operand.coeffs, q._operand.bits,
                           q._operand.length, q._operand.packed) for q in map(results.get, range(3))])
     assert all(run == runs[0] for run in runs)
-    assert [sorted(state[-1]) for state in runs[0]] == [[8], [8], [12]]
+    assert [sorted(state[-1]) for state in runs[0]] == [[8], [8], [10]]
 
 
 @pytest.mark.parametrize("a, d, b, c, e, q", [
