@@ -130,10 +130,20 @@ def test_det_backward_catalan(capsys):
     assert "engine=" in err
 
 
-def test_det_empty_matrix_convention(capsys):
-    code, out, _ = run(capsys, "det", "--family", "catalan", "--shift", "0", "--size", "0")
+EMPTY_DET = {
+    "text": "1\n",
+    "json": '{\n  "family": "catalan",\n  "shift": 0,\n  "size": 0,\n'
+            '  "engine": "condensation",\n  "value": "1"\n}\n',
+    "csv": "family,shift,size,engine,value\ncatalan,0,0,condensation,1\n",
+}
+
+
+@pytest.mark.parametrize("fmt", list(EMPTY_DET))
+def test_det_empty_matrix_convention(capsys, fmt):
+    code, out, _ = run(capsys, "det", "--family", "catalan", "--shift", "0", "--size", "0",
+                       "--format", fmt)
     assert code == EXIT_OK
-    assert out == "1\n"
+    assert out == EMPTY_DET[fmt]
 
 
 def test_det_polynomial_value(capsys):
@@ -182,11 +192,21 @@ def test_table_convolution_diagonal(capsys):
     assert out.splitlines()[1] == "0,1,1,0,-1,-1,0,1,1,0"
 
 
-def test_table_empty_range_emits_header_only(capsys):
+EMPTY_TABLE = {
+    "text": "m=0: \n",
+    "json": '{\n  "family": "catalan",\n  "shift_min": 0,\n  "shift_max": 0,\n'
+            '  "n_max": -1,\n  "rows": [\n    {\n      "m": 0,\n      "values": []\n'
+            '    }\n  ]\n}\n',
+    "csv": "m\\n\n0\n",
+}
+
+
+@pytest.mark.parametrize("fmt", list(EMPTY_TABLE))
+def test_table_empty_range_emits_header_only(capsys, fmt):
     code, out, _ = run(capsys, "table", "--family", "catalan", "--shift", "0",
-                       "--n-max", "-1", "--format", "csv")
+                       "--n-max", "-1", "--format", fmt)
     assert code == EXIT_OK
-    assert out == "m\\n\n0\n"
+    assert out == EMPTY_TABLE[fmt]
 
 
 def test_table_agrees_with_det(capsys):

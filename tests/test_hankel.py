@@ -21,9 +21,12 @@ from hankelshift import (
     det_condensation,
     forward_catalan_det,
 )
-from hankelshift.errors import DimensionTooLarge, NonExactDivision
+from hankelshift import hankel as hankel_module
+from hankelshift.errors import CondensationUnavailable, DimensionTooLarge, NonExactDivision
 from hankelshift.hankel import (
+    AUTO,
     BAREISS,
+    COFACTOR,
     CONDENSATION,
     Matrix,
     _int_cross_quotient,
@@ -252,6 +255,53 @@ def test_bad_requests_raise():
         Matrix([[Poly.const(1), Poly.const(2)]])
     with pytest.raises(ValueError, match="bogus"):
         det(HankelSpec(Catalan(), 0, 2), engine="bogus")
+
+
+DISPATCH_SPECS = {
+    "polynomial": HankelSpec(NarayanaB(), 1, 4),
+    "unblocked": HankelSpec(Catalan(), 2, 6),
+    "blocked": HankelSpec(Catalan(), -3, 6),
+}
+
+# (engine, spec) -> (engines called, in order; engine reported or error raised)
+DISPATCH = {
+    (AUTO, "polynomial"): ([BAREISS], BAREISS),
+    (AUTO, "unblocked"): ([CONDENSATION], CONDENSATION),
+    (AUTO, "blocked"): ([CONDENSATION, BAREISS], BAREISS),
+    (BAREISS, "polynomial"): ([BAREISS], BAREISS),
+    (BAREISS, "unblocked"): ([BAREISS], BAREISS),
+    (BAREISS, "blocked"): ([BAREISS], BAREISS),
+    (COFACTOR, "polynomial"): ([COFACTOR], COFACTOR),
+    (COFACTOR, "unblocked"): ([COFACTOR], COFACTOR),
+    (COFACTOR, "blocked"): ([COFACTOR], COFACTOR),
+    (CONDENSATION, "polynomial"): ([CONDENSATION], CONDENSATION),
+    (CONDENSATION, "unblocked"): ([CONDENSATION], CONDENSATION),
+    (CONDENSATION, "blocked"): ([CONDENSATION], CondensationUnavailable),
+}
+
+
+@pytest.mark.parametrize("engine, kind", list(DISPATCH), ids=[f"{e}-{k}" for e, k in DISPATCH])
+def test_det_dispatch_calls_each_engine_as_named(monkeypatch, engine, kind):
+    # Counted on the module attributes, as bench/tracing.py wraps them.
+    called = []
+    for name in (CONDENSATION, BAREISS, COFACTOR):
+        inner = getattr(hankel_module, f"det_{name}")
+
+        def counted(matrix, inner=inner, name=name):
+            called.append(name)
+            return inner(matrix)
+
+        monkeypatch.setattr(hankel_module, f"det_{name}", counted)
+    expected_calls, outcome = DISPATCH[engine, kind]
+    spec = DISPATCH_SPECS[kind]
+    if isinstance(outcome, str):
+        result = det(spec, engine=engine)
+        assert result.engine == outcome
+        assert result.value == det_cofactor(build(spec))
+    else:
+        with pytest.raises(outcome):
+            det(spec, engine=engine)
+    assert called == expected_calls
 
 
 def test_integer_update_raises_on_a_remainder():
