@@ -4,7 +4,9 @@ Subcommands: ``gen`` (sequence terms), ``det`` (one determinant), ``table``
 (a grid of determinants) and ``verify`` (claim checking).  Data goes to
 standard output (or ``--out``), diagnostics to standard error.  Exit codes:
 0 success, 1 computation error, 2 usage error, 3 failing proven claim
-(a bug), 4 failing conjecture (a discovery).
+(a bug), 4 failing conjecture (a discovery).  ``gen``, ``det`` and ``table``
+turn each value into a string once and build their text, JSON and CSV views
+from the same strings.
 """
 
 from __future__ import annotations
@@ -122,24 +124,29 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
+def _view(args, text: str, payload: dict, rows: list[list[str]]) -> str:
+    """The one of a result's three views that ``--format`` names."""
+    if args.format == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if args.format == "csv":
+        return _csv_text(rows)
+    return text
+
+
 def _run_gen(args) -> tuple[str, int]:
     if args.start > args.stop:
         args.parser.error("--from must not exceed --to")
     family = make_family(args)
     indices = range(args.start, args.stop + 1)
-    terms = [family.term(n) for n in indices]
-    if args.format == "text":
-        return " ".join(str(t) for t in terms) + "\n", EXIT_OK
-    if args.format == "json":
-        payload = {
-            "family": family.label,
-            "from": args.start,
-            "to": args.stop,
-            "terms": [str(t) for t in terms],
-        }
-        return json.dumps(payload, indent=2) + "\n", EXIT_OK
-    rows = [["n", "value"]] + [[str(n), str(t)] for n, t in zip(indices, terms)]
-    return _csv_text(rows), EXIT_OK
+    terms = [str(family.term(n)) for n in indices]
+    payload = {
+        "family": family.label,
+        "from": args.start,
+        "to": args.stop,
+        "terms": terms,
+    }
+    rows = [["n", "value"]] + [[str(n), t] for n, t in zip(indices, terms)]
+    return _view(args, " ".join(terms) + "\n", payload, rows), EXIT_OK
 
 
 def _run_det(args) -> tuple[str, int]:
@@ -151,22 +158,16 @@ def _run_det(args) -> tuple[str, int]:
         f"# family={family.label} shift={args.shift} size={args.size} engine={result.engine}",
         file=sys.stderr,
     )
-    if args.format == "text":
-        return str(result.value) + "\n", EXIT_OK
-    if args.format == "json":
-        payload = {
-            "family": family.label,
-            "shift": args.shift,
-            "size": args.size,
-            "engine": result.engine,
-            "value": str(result.value),
-        }
-        return json.dumps(payload, indent=2) + "\n", EXIT_OK
-    rows = [
-        ["family", "shift", "size", "engine", "value"],
-        [family.label, str(args.shift), str(args.size), result.engine, str(result.value)],
-    ]
-    return _csv_text(rows), EXIT_OK
+    value = str(result.value)
+    payload = {
+        "family": family.label,
+        "shift": args.shift,
+        "size": args.size,
+        "engine": result.engine,
+        "value": value,
+    }
+    rows = [list(payload), [str(field) for field in payload.values()]]
+    return _view(args, value + "\n", payload, rows), EXIT_OK
 
 
 def _run_table(args) -> tuple[str, int]:
@@ -177,41 +178,31 @@ def _run_table(args) -> tuple[str, int]:
     sizes = range(args.n_max + 1)
     shifts = range(args.shift, shift_max + 1)
     grid = {
-        m: hankel.leading_minors(hankel.HankelSpec(family, m, args.n_max)) if sizes else []
+        m: [str(v) for v in hankel.leading_minors(hankel.HankelSpec(family, m, args.n_max))]
+        if sizes else []
         for m in shifts
     }
-    if args.format == "json":
-        payload = {
-            "family": family.label,
-            "shift_min": args.shift,
-            "shift_max": shift_max,
-            "n_max": args.n_max,
-            "rows": [{"m": m, "values": [str(v) for v in grid[m]]} for m in shifts],
-        }
-        return json.dumps(payload, indent=2) + "\n", EXIT_OK
-    if args.format == "csv":
-        header = ["m\\n"] + [str(n) for n in sizes]
-        rows = [header] + [[str(m)] + [str(v) for v in grid[m]] for m in shifts]
-        return _csv_text(rows), EXIT_OK
-    lines = [f"m={m}: " + ", ".join(str(v) for v in grid[m]) for m in shifts]
-    return "\n".join(lines) + "\n", EXIT_OK
+    lines = [f"m={m}: " + ", ".join(grid[m]) for m in shifts]
+    payload = {
+        "family": family.label,
+        "shift_min": args.shift,
+        "shift_max": shift_max,
+        "n_max": args.n_max,
+        "rows": [{"m": m, "values": grid[m]} for m in shifts],
+    }
+    header = ["m\\n"] + [str(n) for n in sizes]
+    rows = [header] + [[str(m)] + grid[m] for m in shifts]
+    return _view(args, "\n".join(lines) + "\n", payload, rows), EXIT_OK
 
 
 def _report_csv(report: verify.Report) -> str:
-    header = ["k", "b", "m", "n", "expected", "actual", "pass"]
-    rows = [header]
+    columns = ("k", "b", "m", "n")
+    rows = [[*columns, "expected", "actual", "pass"]]
     for cell in report.cells:
         params = dict(cell.params)
         rows.append(
-            [
-                str(params.get("k", "")),
-                str(params.get("b", "")),
-                str(params.get("m", "")),
-                str(params.get("n", "")),
-                str(cell.expected),
-                str(cell.actual),
-                "true" if cell.passed else "false",
-            ]
+            [str(params.get(name, "")) for name in columns]
+            + [str(cell.expected), str(cell.actual), "true" if cell.passed else "false"]
         )
     return _csv_text(rows)
 

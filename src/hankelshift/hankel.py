@@ -353,26 +353,20 @@ def det(spec: HankelSpec, engine: str = AUTO) -> DetResult:
     elimination.  An all-constant matrix tries condensation first and falls
     back to elimination when a zero interior minor blocks it.  Naming one of
     the engines forces that engine (condensation then raises if
-    unavailable).
+    unavailable).  An unknown engine name is refused before any term is made.
     """
+    if engine != AUTO and engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     matrix = build(spec)
-    if engine == AUTO:
-        if not matrix.all_constant:
-            return DetResult(det_bareiss(matrix), BAREISS)
+    if engine == CONDENSATION or (engine == AUTO and matrix.all_constant):
         value = det_condensation(matrix)
         if value is not None:
             return DetResult(value, CONDENSATION)
-        return DetResult(det_bareiss(matrix), BAREISS)
-    if engine == BAREISS:
-        return DetResult(det_bareiss(matrix), BAREISS)
+        if engine == CONDENSATION:
+            raise CondensationUnavailable(f"zero interior minor while condensing {spec}")
     if engine == COFACTOR:
         return DetResult(det_cofactor(matrix), COFACTOR)
-    if engine == CONDENSATION:
-        value = det_condensation(matrix)
-        if value is None:
-            raise CondensationUnavailable(f"zero interior minor while condensing {spec}")
-        return DetResult(value, CONDENSATION)
-    raise ValueError(f"unknown engine {engine!r}")
+    return DetResult(det_bareiss(matrix), BAREISS)
 
 
 def cross_check(spec: HankelSpec) -> DetResult:

@@ -248,13 +248,21 @@ def test_ladder_recurrence_inside_valid_range():
             assert lhs == rhs, (k, n)
 
 
-def test_bad_requests_raise():
+def test_bad_requests_raise(monkeypatch):
     with pytest.raises(ValueError, match="size"):
         HankelSpec(Catalan(), 0, -1)
     with pytest.raises(ValueError, match="square"):
         Matrix([[Poly.const(1), Poly.const(2)]])
     with pytest.raises(ValueError, match="bogus"):
         det(HankelSpec(Catalan(), 0, 2), engine="bogus")
+
+    # An unknown engine is refused before any term is made.
+    def no_build(spec):
+        raise AssertionError("build ran before the engine name was checked")
+
+    monkeypatch.setattr(hankel_module, "build", no_build)
+    with pytest.raises(ValueError, match="bogus"):
+        det(HankelSpec(Catalan(), 0, 1500), engine="bogus")
 
 
 DISPATCH_SPECS = {
