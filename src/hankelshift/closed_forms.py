@@ -103,7 +103,6 @@ class Prediction:
 
     spec: hankel.HankelSpec
     value: Poly
-    source: str
 
 
 def backward_shape(m: int, n: int, forward: Callable[[int], Poly]) -> Poly:
@@ -144,5 +143,4 @@ def predict_backward(family: SequenceFamily, m: int, n: int) -> Prediction:
             "convolution powers are covered by the conjecture checks instead"
         )
 
-    return Prediction(hankel.HankelSpec(family, -m, n), backward_shape(m, n, forward),
-                      f"backshift closed form [{family.label}]")
+    return Prediction(hankel.HankelSpec(family, -m, n), backward_shape(m, n, forward))

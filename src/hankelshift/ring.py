@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 import struct
 from itertools import repeat
 from typing import Iterable
@@ -309,15 +308,6 @@ def _decimal(n: int) -> str:
         return _decimal(hi) + _decimal(lo).zfill(k)
 
 
-def _from_decimal(digits: str) -> int:
-    """The int a string of decimal digits denotes, of any length (see _decimal)."""
-    try:
-        return int(digits)
-    except ValueError:
-        k = len(digits) // 2
-        return _from_decimal(digits[:-k]) * 10 ** k + _from_decimal(digits[-k:])
-
-
 class Poly:
     """Dense polynomial in ``t`` over the integers.
 
@@ -513,34 +503,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-    _TERM = re.compile(r"([+-]?)(?:(\d+)\*?)?(t(?:\^(\d+))?)?")
-
-    @classmethod
-    def parse(cls, text: str) -> Poly:
-        """Inverse of str(): accepts the canonical form, ignoring spaces."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ValueError("empty polynomial string")
-        coeffs: dict[int, int] = {}
-        pos = 0
-        while pos < len(s):
-            m = cls._TERM.match(s, pos)
-            if m is None or m.end() == pos:
-                raise ValueError(f"cannot parse polynomial {text!r} at offset {pos}")
-            sign, num, var, exp = m.groups()
-            if num is None and var is None:
-                raise ValueError(f"cannot parse polynomial {text!r} at offset {pos}")
-            c = _from_decimal(num) if num is not None else 1
-            if sign == "-":
-                c = -c
-            d = 0 if var is None else (1 if exp is None else int(exp))
-            coeffs[d] = coeffs.get(d, 0) + c
-            pos = m.end()
-        out = [0] * (max(coeffs) + 1)
-        for d, c in coeffs.items():
-            out[d] = c
-        return cls(out)
 
 
 class Series:

@@ -56,11 +56,6 @@ class GridRange:
     def to_dict(self) -> dict:
         return {**asdict(self), "k_list": list(self.k_list), "b_list": list(self.b_list)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> GridRange:
-        return cls(data["m_min"], data["m_max"], data["n_max"],
-                   tuple(data["k_list"]), tuple(data["b_list"]))
-
 
 _PARAM_ORDER = ("k", "b", "m", "n")
 Params = tuple[tuple[str, int], ...]
@@ -97,10 +92,6 @@ class Cell:
             "pass": self.passed,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> Cell:
-        return cls(_params(**data["params"]), Poly.parse(data["expected"]), Poly.parse(data["actual"]))
-
 
 @dataclass(frozen=True)
 class Report:
@@ -133,18 +124,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Report:
-        return cls(
-            claim_id=data["claim_id"],
-            range=GridRange.from_dict(data["range"]),
-            cells=tuple(Cell.from_dict(c) for c in data["cells"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> Report:
-        return cls.from_dict(json.loads(text))
 
     def render_text(self) -> str:
         g = self.range

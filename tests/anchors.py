@@ -2,14 +2,13 @@
 
 Integer lists are published sequence values (OEIS A000108, A000984,
 A001700, A000245, A002057 among others) and known determinant rows; the
-polynomial rows are written in factored form exactly as published and
-expanded through Poly arithmetic at import time.  Nothing here is produced
-by the code paths under test.
+polynomial rows are written in factored form exactly as published, each
+factor as its ascending coefficient tuple, and multiplied out through Poly
+arithmetic at import time.  Nothing here is produced by the code paths
+under test.
 """
 
 from hankelshift import Poly
-
-P = Poly.parse
 
 
 def mono(degree: int, coeff: int = 1) -> Poly:
@@ -49,39 +48,39 @@ DET_CONV = {
     (4, 1): [1, 4, -4, -20, 9, 56, -16, -120, 25, 220, -36, -364, 49, 560, -64],
 }
 
-NARAYANA = [P("1"), P("1"), P("1+t"), P("1+3*t+t^2"),
-            P("1+6*t+6*t^2+t^3"), P("1+10*t+20*t^2+10*t^3+t^4")]
+NARAYANA = [Poly((1,)), Poly((1,)), Poly((1, 1)), Poly((1, 3, 1)),
+            Poly((1, 6, 6, 1)), Poly((1, 10, 20, 10, 1))]
 
 # Determinant rows of the Narayana polynomials.
 DET_NARAYANA_FWD = {
-    2: [P("1"), P("1+t"), mono(0) * P("t+t^2+t^3"),
-        mono(3) * P("1+t") * P("1+t^2"),
-        mono(6) * P("1+t+t^2+t^3+t^4"),
-        mono(10) * P("1+t") * P("1-t+t^2") * P("1+t+t^2")],
-    3: [P("1"), P("1+3*t+t^2"), mono(1) * P("1+3*t+6*t^2+3*t^3+t^4"),
-        mono(3) * P("1+3*t+6*t^2+10*t^3+6*t^4+3*t^5+t^6")],
-    4: [P("1"), P("1+6*t+6*t^2+t^3"),
-        mono(1) * P("1+6*t+21*t^2+28*t^3+21*t^4+6*t^5+t^6")],
+    2: [Poly((1,)), Poly((1, 1)), mono(0) * Poly((0, 1, 1, 1)),
+        mono(3) * Poly((1, 1)) * Poly((1, 0, 1)),
+        mono(6) * Poly((1, 1, 1, 1, 1)),
+        mono(10) * Poly((1, 1)) * Poly((1, -1, 1)) * Poly((1, 1, 1))],
+    3: [Poly((1,)), Poly((1, 3, 1)), mono(1) * Poly((1, 3, 6, 3, 1)),
+        mono(3) * Poly((1, 3, 6, 10, 6, 3, 1))],
+    4: [Poly((1,)), Poly((1, 6, 6, 1)),
+        mono(1) * Poly((1, 6, 21, 28, 21, 6, 1))],
 }
 DET_NARAYANA_BWD = {
-    -1: [P("1"), P("0"), P("-1"), mono(1, -1) * P("1+t"),
-         mono(3, -1) * P("1+t+t^2"), mono(6, -1) * P("1+t") * P("1+t^2"),
-         mono(10, -1) * P("1+t+t^2+t^3+t^4")],
-    -2: [P("1"), P("0"), P("0"), P("-1"), mono(1, -1) * P("1+3*t+t^2"),
-         mono(3, -1) * P("1+3*t+6*t^2+3*t^3+t^4"),
-         mono(6, -1) * P("1+3*t+6*t^2+10*t^3+6*t^4+3*t^5+t^6")],
-    -3: [P("1"), P("0"), P("0"), P("0"), P("1"), P("t+6*t^2+6*t^3+t^4"),
-         P("t^3+6*t^4+21*t^5+28*t^6+21*t^7+6*t^8+t^9")],
+    -1: [Poly((1,)), Poly(()), Poly((-1,)), mono(1, -1) * Poly((1, 1)),
+         mono(3, -1) * Poly((1, 1, 1)), mono(6, -1) * Poly((1, 1)) * Poly((1, 0, 1)),
+         mono(10, -1) * Poly((1, 1, 1, 1, 1))],
+    -2: [Poly((1,)), Poly(()), Poly(()), Poly((-1,)), mono(1, -1) * Poly((1, 3, 1)),
+         mono(3, -1) * Poly((1, 3, 6, 3, 1)),
+         mono(6, -1) * Poly((1, 3, 6, 10, 6, 3, 1))],
+    -3: [Poly((1,)), Poly(()), Poly(()), Poly(()), Poly((1,)), Poly((0, 1, 6, 6, 1)),
+         Poly((0, 0, 0, 1, 6, 21, 28, 21, 6, 1))],
 }
 
 # Determinant rows of the type B Narayana polynomials.
 DET_NARAYANA_B_BWD = {
-    -1: [P("1"), P("0"), P("-1"), mono(1, -2) * P("1+t"),
-         mono(3, -4) * P("1+t+t^2"), mono(6, -8) * P("1+t") * P("1+t^2"),
-         mono(10, -16) * P("1+t+t^2+t^3+t^4")],
-    -2: [P("1"), P("0"), P("0"), P("-1"), mono(1, -2) * P("1+3*t+t^2"),
-         mono(3, -4) * P("1+3*t+6*t^2+3*t^3+t^4")],
-    -3: [P("1"), P("0"), P("0"), P("0"), P("1"),
-         mono(1, 2) * P("1+t") * P("1+5*t+t^2"),
-         mono(3, 4) * P("1+6*t+21*t^2+28*t^3+21*t^4+6*t^5+t^6")],
+    -1: [Poly((1,)), Poly(()), Poly((-1,)), mono(1, -2) * Poly((1, 1)),
+         mono(3, -4) * Poly((1, 1, 1)), mono(6, -8) * Poly((1, 1)) * Poly((1, 0, 1)),
+         mono(10, -16) * Poly((1, 1, 1, 1, 1))],
+    -2: [Poly((1,)), Poly(()), Poly(()), Poly((-1,)), mono(1, -2) * Poly((1, 3, 1)),
+         mono(3, -4) * Poly((1, 3, 6, 3, 1))],
+    -3: [Poly((1,)), Poly(()), Poly(()), Poly(()), Poly((1,)),
+         mono(1, 2) * Poly((1, 1)) * Poly((1, 5, 1)),
+         mono(3, 4) * Poly((1, 6, 21, 28, 21, 6, 1))],
 }

@@ -6,6 +6,7 @@ see.  A deliberate change of output means replacing the file by hand in
 the same change, so the diff shows it.
 """
 
+import csv
 import re
 import shlex
 from pathlib import Path
@@ -89,3 +90,15 @@ def test_stdout_matches_golden(command, capsys):
 def test_every_golden_file_has_a_command():
     expected = {golden_path(c).name for c in COMMANDS}
     assert {p.name for p in GOLDEN.glob("*.out")} == expected
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if "--format csv" in c])
+def test_csv_golden_reads_back_as_plain_comma_joins(command):
+    """The CLI writes each CSV row as its fields joined by commas, with no
+    quoting, which is right only while no field holds a comma, a quote or
+    a line break and no row is one empty field."""
+    path = golden_path(command)
+    with path.open(encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    text = path.read_text(encoding="utf-8")
+    assert rows == [line.split(",") for line in text.splitlines()]

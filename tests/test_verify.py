@@ -1,4 +1,4 @@
-"""Report structure, claim verifiers and serialization round-trips."""
+"""Report structure, claim verifiers and serialization."""
 
 import json
 import os
@@ -232,26 +232,29 @@ def test_cells_sorted_deterministically():
     assert keys == sorted(keys)
 
 
-def test_report_json_round_trip():
-    report = verify_claim("t8", GridRange(m_min=1, m_max=2, n_max=5))
-    clone = Report.from_json(report.to_json())
-    assert clone == report
-    assert clone.all_pass == report.all_pass
-    assert clone.counterexamples == report.counterexamples
-
-
-def test_report_json_round_trips_values_past_the_int_str_digit_limit():
+def test_report_json_writes_values_past_the_int_str_digit_limit():
     # A fresh interpreter starts with Python's default 4300-digit limit,
     # whatever earlier tests in this process did.
     script = """
+import json
 import sys
 from hankelshift import GridRange, Poly, Report
 from hankelshift.verify import Cell
+
+def digits(n):
+    chunks = []
+    while True:
+        n, low = divmod(n, 10 ** 1000)
+        if not n:
+            return str(low) + "".join(reversed(chunks))
+        chunks.append(str(low).zfill(1000))
+
 big = Poly((-(3 ** 20000), 0, 7 ** 9000 + 1))
+text = "-" + digits(3 ** 20000) + "+" + digits(7 ** 9000 + 1) + "*t^2"
 report = Report("t8", GridRange(m_min=1, m_max=1, n_max=1),
                 (Cell((("m", 1), ("n", 1)), big, big + 1),))
-assert Report.from_json(report.to_json()) == report
-assert "expected " + str(big) in report.render_text()
+assert json.loads(report.to_json())["cells"][0]["expected"] == text
+assert "expected " + text in report.render_text()
 assert sys.get_int_max_str_digits() == 4300
 """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
