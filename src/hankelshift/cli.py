@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from dataclasses import fields, replace
 
-from . import hankel, verify
 from .errors import ExactComputationError
 from .sequences import (
     Catalan,
@@ -38,6 +35,12 @@ FAMILIES = {
     "narayana-b": lambda args: NarayanaB(),
     "conv": lambda args: ConvCatalan(args.k),
 }
+
+# Each command imports only the modules it runs, so the parser names the
+# engines, (hankel.AUTO,) + hankel.ENGINES, and the ids of verify.CLAIMS
+# itself, in their order; a test keeps them equal.
+_ENGINE_CHOICES = ("auto", "cofactor", "bareiss", "condensation")
+_CLAIM_IDS = ("t1", "t6", "t7", "t8", "t9", "c10", "c11", "c12", "patterns")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     det.add_argument("--shift", type=int, required=True)
     det.add_argument("--size", type=int, required=True)
-    det.add_argument("--engine", choices=(hankel.AUTO,) + hankel.ENGINES, default=hankel.AUTO)
+    det.add_argument("--engine", choices=_ENGINE_CHOICES, default="auto")
 
     table.add_argument("--shift", type=int, required=True, help="smallest shift")
     table.add_argument("--shift-max", type=int, default=None,
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest size, inclusive; negative means an empty grid")
 
     # Dests are the GridRange field names, so _run_verify can replace() them in.
-    ver.add_argument("claim", choices=tuple(verify.CLAIMS))
+    ver.add_argument("claim", choices=_CLAIM_IDS)
     ver.add_argument("--m-min", type=int, default=None)
     ver.add_argument("--m-max", type=int, default=None)
     ver.add_argument("--n-max", type=int, default=None)
@@ -123,6 +126,8 @@ def _csv_text(rows: list[list[str]]) -> str:
 def _view(args, text: str, payload: dict, rows: list[list[str]]) -> str:
     """The one of a result's three views that ``--format`` names."""
     if args.format == "json":
+        import json
+
         return json.dumps(payload, indent=2) + "\n"
     if args.format == "csv":
         return _csv_text(rows)
@@ -146,6 +151,8 @@ def _run_gen(args) -> tuple[str, int]:
 
 
 def _run_det(args) -> tuple[str, int]:
+    from . import hankel
+
     if args.size < 0:
         args.parser.error("--size must be >= 0")
     family = make_family(args)
@@ -167,6 +174,8 @@ def _run_det(args) -> tuple[str, int]:
 
 
 def _run_table(args) -> tuple[str, int]:
+    from . import hankel
+
     shift_max = args.shift_max if args.shift_max is not None else args.shift
     if shift_max < args.shift:
         args.parser.error("--shift-max must not be below --shift")
@@ -191,7 +200,7 @@ def _run_table(args) -> tuple[str, int]:
     return _view(args, "\n".join(lines) + "\n", payload, rows), EXIT_OK
 
 
-def _report_csv(report: verify.Report) -> str:
+def _report_csv(report) -> str:
     columns = ("k", "b", "m", "n")
     rows = [[*columns, "expected", "actual", "pass"]]
     for cell in report.cells:
@@ -204,6 +213,10 @@ def _report_csv(report: verify.Report) -> str:
 
 
 def _run_verify(args) -> tuple[str, int]:
+    from dataclasses import fields, replace
+
+    from . import verify
+
     given = {f.name: getattr(args, f.name) for f in fields(verify.GridRange)
              if getattr(args, f.name) is not None}
     try:

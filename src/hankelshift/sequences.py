@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 from .errors import NonExactDivision
 from .ring import DEFAULT_SERIES_ORDER, Poly, Series
@@ -154,7 +153,32 @@ def catalan_convolution(k: int, n: int) -> int:
 
 
 class SequenceFamily:
-    """Common behaviour: zero for negative index, generating series on demand."""
+    """Common behaviour: zero for negative index, generating series on demand.
+
+    A family is an immutable value: it equals a family of its own class with
+    the same parameters (the attributes its ``__slots__`` names).  It is not a
+    dataclass, as importing ``dataclasses`` costs each CLI call milliseconds.
+    """
+
+    __slots__ = ()
+
+    def _params(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._params()))
+
+    def __repr__(self) -> str:
+        params = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({params})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def term(self, n: int) -> Poly:
         """Exact n-th term; 0 for every n < 0."""
@@ -176,7 +200,6 @@ class SequenceFamily:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Catalan(SequenceFamily):
     """1, 1, 2, 5, 14, 42, ..."""
 
@@ -188,7 +211,6 @@ class Catalan(SequenceFamily):
         return "catalan"
 
 
-@dataclass(frozen=True)
 class CentralBinomial(SequenceFamily):
     """binom(2n, n): 1, 2, 6, 20, 70, ..."""
 
@@ -200,12 +222,14 @@ class CentralBinomial(SequenceFamily):
         return "central-binomial"
 
 
-@dataclass(frozen=True)
 class MNumbers(SequenceFamily):
     """Catalan-like numbers with integer parameter b; b=0 gives Catalan,
     b=1 the shifted Catalan numbers, b=2 gives binom(2n+1, n)."""
 
-    b: int = 0
+    __slots__ = ("b",)
+
+    def __init__(self, b: int = 0) -> None:
+        object.__setattr__(self, "b", b)
 
     def _term(self, n: int) -> Poly:
         return Poly.const(m_number(self.b, n))
@@ -215,7 +239,6 @@ class MNumbers(SequenceFamily):
         return f"m-numbers(b={self.b})"
 
 
-@dataclass(frozen=True)
 class NarayanaC(SequenceFamily):
     """Narayana polynomials; t=1 recovers the Catalan numbers."""
 
@@ -227,7 +250,6 @@ class NarayanaC(SequenceFamily):
         return "narayana-c"
 
 
-@dataclass(frozen=True)
 class NarayanaB(SequenceFamily):
     """Type B Narayana polynomials; t=1 recovers the central binomials."""
 
@@ -239,15 +261,15 @@ class NarayanaB(SequenceFamily):
         return "narayana-b"
 
 
-@dataclass(frozen=True)
 class ConvCatalan(SequenceFamily):
     """k-th convolution power of the Catalan numbers (k >= 1)."""
 
-    k: int = 1
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int = 1) -> None:
+        if k < 1:
             raise ValueError("convolution order k must be >= 1")
+        object.__setattr__(self, "k", k)
 
     def _term(self, n: int) -> Poly:
         return Poly.const(catalan_convolution(self.k, n))

@@ -64,6 +64,30 @@ def test_cold_catalan_request_matches_warm_value():
     assert proc.stdout == f"{warm}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_gen_starts_without_the_engines_or_the_claims(fmt):
+    # Each command runs in a fresh interpreter, so whatever gen imports is
+    # start-up time on every call.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = ("import sys; from hankelshift import cli; "
+              "code = cli.main(['gen', '--family', 'm-numbers', '--b', '2', '--from', '0', "
+              f"'--to', '3', '--format', '{fmt}']); "
+              "print(code, sorted(m for m in sys.modules "
+              "if m.startswith('hankelshift') or m == 'dataclasses'))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} " + str(
+        ["hankelshift", "hankelshift.cli", "hankelshift.errors", "hankelshift.ring",
+         "hankelshift.sequences"])
+
+
+def test_parser_choices_are_the_engines_and_claims_in_order():
+    assert cli._ENGINE_CHOICES == (hankel.AUTO,) + hankel.ENGINES
+    assert cli._CLAIM_IDS == tuple(CLAIMS)
+
+
 @pytest.mark.parametrize("family, n, value", [
     ("catalan", 8000, lambda: math.comb(16000, 8000) // 8001),
     ("central-binomial", 7300, lambda: math.comb(14600, 7300)),
@@ -336,15 +360,14 @@ def test_runner_usage_error_prints_the_subcommand_usage(argv, capsys):
 
 def test_exit_code_mapping_for_failures(monkeypatch, capsys):
     # engineered failing reports: exit 3 for proven claims, 4 for conjectures
-    from hankelshift import GridRange, Poly, Report
-    from hankelshift import cli as cli_mod
+    from hankelshift import GridRange, Poly, Report, verify
     from hankelshift.verify import Cell
 
     def fake_verify_claim(claim_id, grid=None):
         bad = Cell((("m", 1), ("n", 1)), Poly.const(1), Poly.const(2))
         return Report(claim_id, GridRange(n_max=1), (bad,))
 
-    monkeypatch.setattr(cli_mod.verify, "verify_claim", fake_verify_claim)
+    monkeypatch.setattr(verify, "verify_claim", fake_verify_claim)
     assert main(["verify", "t1"]) == EXIT_THEOREM_FAILURE
     capsys.readouterr()
     assert main(["verify", "c10"]) == EXIT_COUNTEREXAMPLE

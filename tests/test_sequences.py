@@ -166,6 +166,18 @@ def test_families_have_value_semantics():
     assert hash(ConvCatalan(4)) == hash(ConvCatalan(4))
 
 
+def test_families_are_immutable_and_told_apart_by_class():
+    assert Catalan() != CentralBinomial()
+    assert MNumbers(0) != ConvCatalan(1)
+    assert MNumbers(b=-2) == MNumbers(-2)
+    assert [repr(f) for f in (Catalan(), MNumbers(b=-2), ConvCatalan(k=3))] == [
+        "Catalan()", "MNumbers(b=-2)", "ConvCatalan(k=3)"]
+    for family, name in ((Catalan(), "label"), (MNumbers(2), "b"), (ConvCatalan(3), "k")):
+        with pytest.raises(AttributeError):
+            setattr(family, name, 5)
+    assert MNumbers(2).b == 2 and ConvCatalan(3).k == 3
+
+
 TERM_CACHES = (catalan_number, narayana_polynomial, narayana_b_polynomial,
                m_number, catalan_convolution)
 
